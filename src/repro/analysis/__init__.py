@@ -3,7 +3,6 @@
 from .campaign import Campaign, campaign_to_markdown, run_campaign
 from .engine import (
     EngineOptions,
-    ResultCache,
     outcome_cache_key,
     run_engine_experiment,
 )
@@ -43,7 +42,6 @@ __all__ = [
     "ExperimentError",
     "ExperimentResult",
     "LoopOutcome",
-    "ResultCache",
     "STATUS_FAILED",
     "STATUS_OK",
     "STATUS_TIMEOUT",

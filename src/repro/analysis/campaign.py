@@ -28,7 +28,7 @@ from ..machine.presets import (
 from ..workloads.stats import SuiteStatistics, suite_statistics
 from ..workloads.suite import paper_suite
 from .engine import EngineOptions, run_engine_experiment
-from .experiment import ExperimentResult, UnifiedBaseline, run_experiment
+from .experiment import ExperimentResult, UnifiedBaseline
 from .reporting import cumulative_table, deviation_table, table3_rows
 
 
@@ -73,10 +73,10 @@ def run_campaign(
     """Run every paper experiment over one suite.
 
     ``progress`` may be a callable receiving one status string per
-    experiment (e.g. ``print``).  Passing ``engine_options`` routes
-    every experiment through the parallel fault-tolerant engine
-    (workers / per-loop budget / result cache); the unified-baseline
-    cache is still shared across the whole campaign either way.
+    experiment (e.g. ``print``).  ``engine_options`` (workers, per-loop
+    budget, result cache) applies to every experiment; the default
+    measures serially in-process.  One unified-baseline cache is shared
+    across the whole campaign.
     """
     suite = list(loops) if loops is not None else paper_suite(n_loops)
     baseline = UnifiedBaseline()
@@ -86,14 +86,9 @@ def run_campaign(
             progress(message)
 
     def measure(machine, config, label):
-        if engine_options is not None:
-            return run_engine_experiment(
-                suite, machine, config,
-                label=label, baseline=baseline,
-                options=engine_options,
-            )
-        return run_experiment(
+        return run_engine_experiment(
             suite, machine, config, label=label, baseline=baseline,
+            options=engine_options,
         )
 
     def experiments(machines, labels, configs=None):

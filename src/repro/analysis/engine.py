@@ -1,75 +1,72 @@
-"""Parallel, fault-tolerant experiment engine.
+"""The experiment runner: in-process or fanned out over the worker pool.
 
-:func:`run_engine_experiment` measures the same thing as the serial
-reference runner (:func:`repro.analysis.experiment.run_experiment`) —
-one clustered configuration against its unified baseline over a loop
-corpus — but adds the operational machinery a 1327-loop × many-machine
-sweep needs:
+:func:`run_engine_experiment` measures one clustered configuration
+against its unified baseline over a loop corpus; the serial
+:func:`repro.analysis.experiment.run_experiment` is its zero-worker
+case.  Every loop goes through the one per-loop measurement,
+:func:`repro.analysis.experiment.measure_loop`, either in the calling
+process or inside an ``engine_chunk`` pool task, and outcomes are
+identical whichever way it runs.  On top of that measurement the
+runner adds the operational machinery a 1327-loop × many-machine sweep
+needs:
 
-* **warm-pool fan-out** — ``workers=N`` chunks the corpus over the
-  persistent fork-server pool (:mod:`repro.service.pool`; workers stay
-  warm across runs, so repeat dispatches skip process startup);
-  results merge back in suite order, so the outcome list is
-  bit-identical to the serial path regardless of completion order, and
-  a crashed worker degrades its chunk to recorded ``failed`` outcomes
-  after the pool's retry budget is spent;
+* **warm-pool fan-out** — ``workers=N`` (N ≥ 2) chunks the corpus over
+  the persistent fork-server pool (:mod:`repro.service.pool`; workers
+  stay warm across runs, so repeat dispatches skip process startup);
+  outcomes merge back in suite order, and a crashed worker degrades its
+  chunk to ``failed`` outcomes after the pool's retry budget is spent;
 * **fault isolation** — a loop that raises ``CompilationError`` (or
-  ``ValueError`` for a malformed graph) becomes a recorded ``failed``
-  outcome; ``strict=True`` restores the abort-on-first-failure
-  :class:`~repro.analysis.experiment.ExperimentError`;
-* **per-loop wall-time budget** — ``timeout_seconds`` arms a SIGALRM
-  timer around each loop (saving and restoring any ambient ITIMER_REAL
-  so nested budgets compose); off the main thread, where SIGALRM is
-  undeliverable, a watchdog thread enforces the same budget and the
-  ``engine.budget_fallback`` counter records it; either way a loop
-  that blows the budget is gracefully skipped as a ``timeout`` outcome;
-* **on-disk result cache** — ``cache_dir`` persists every outcome under
-  a content hash of (DDG, machine, config), and ``resume=True`` replays
-  cached outcomes so an interrupted sweep restarts for free;
+  ``ValueError`` for a malformed graph) becomes a ``failed`` outcome;
+  ``strict=True`` raises :class:`~repro.analysis.experiment.ExperimentError`
+  at the first failed loop in suite order, whatever the worker count;
+* **per-loop wall-time budget** — ``timeout_seconds`` dispatches every
+  loop as its own pool task with that deadline, at any worker count; a
+  loop that overruns has its worker killed and recycled by the pool and
+  becomes a ``timeout`` outcome;
+* **on-disk result cache** — ``cache_dir`` stores every outcome except
+  timeouts in a :class:`~repro.service.cache.ShardedResultCache` under
+  :func:`outcome_cache_key`, and ``resume=True`` replays them so an
+  interrupted sweep restarts for free;
 * **observability merge** — when the parent is tracing, each worker
   records its own span tree and counters, which are grafted back into
   the parent collector (see :meth:`repro.obs.Trace.graft`).
-
-The serial runner stays the reference implementation: for any corpus,
-``run_engine_experiment(...).outcomes == run_experiment(...).outcomes``.
 """
 
 from __future__ import annotations
 
-import ctypes
 import dataclasses
-import hashlib
-import json
 import os
-import signal
-import threading
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..core.driver import CompilationError, compile_loop
+from ..core.driver import failure_message
 from ..core.variants import HEURISTIC_ITERATIVE, AssignmentConfig
 from ..ddg.graph import Ddg
 from ..machine.machine import Machine
+from ..service.cache import ShardedResultCache
 from ..service.pool import (
     DeadlineExceeded,
     WorkerCrashError,
     shared_pool,
 )
-from ..workloads.fingerprint import (
+from ..workloads.fingerprint import (  # noqa: F401 - re-exported
+    certify_fingerprint,
+    compile_fingerprint,
     config_fingerprint,
-    ddg_fingerprint,
+    lint_fingerprint,
     machine_fingerprint,
 )
+from . import experiment
 from .experiment import (
     STATUS_FAILED,
-    STATUS_OK,
     STATUS_TIMEOUT,
     ExperimentError,
     ExperimentResult,
     LoopOutcome,
     UnifiedBaseline,
+    measure_loop,
 )
 
 #: Bumped whenever the cached-outcome schema changes.
@@ -81,8 +78,8 @@ class EngineOptions:
     """Operational knobs of the engine (measurement knobs stay on the
     ``run_engine_experiment`` signature, mirroring the serial runner)."""
 
-    #: Worker processes; 0 or 1 runs in-process (still fault-tolerant,
-    #: budgeted, and cached — just not parallel).
+    #: Worker processes; 0 or 1 measures in-process (a run with a
+    #: ``timeout_seconds`` budget still runs on the pool).
     workers: int = 0
     #: Abort on the first failing loop instead of recording it.
     strict: bool = False
@@ -115,328 +112,58 @@ class EngineOptions:
 
 
 # ----------------------------------------------------------------------
-# Content-addressed result cache
+# Outcome cache
 # ----------------------------------------------------------------------
-# machine_fingerprint / config_fingerprint moved to
-# repro.workloads.fingerprint (shared with the service's sharded cache)
-# and are re-exported above for compatibility; the digests are
-# unchanged, so existing cache entries stay valid.
-def lint_fingerprint(lint_config) -> Optional[str]:
-    """Hex digest of a lint gate's configuration (None when no gate)."""
-    if lint_config is None:
-        return None
-    doc = {
-        "disable": sorted(lint_config.disable),
-        "enable": sorted(lint_config.enable),
-        "severity": dict(sorted(lint_config.severity.items())),
-        "strict": lint_config.strict,
-        "sample": lint_config.differential_sample,
-    }
-    payload = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def certify_fingerprint(certify_config) -> Optional[str]:
-    """Hex digest of a certify gate's configuration (None when off)."""
-    if certify_config is None:
-        return None
-    doc = {
-        "strict": certify_config.strict,
-        "exact": certify_config.exact,
-        "node_budget": certify_config.exact_node_budget,
-        "backtrack_budget": certify_config.exact_backtrack_budget,
-    }
-    payload = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
 def outcome_cache_key(
     ddg: Ddg, machine: Machine, config: AssignmentConfig,
     verify: bool = False, lint_config=None, certify_config=None,
 ) -> str:
     """Cache key of one (loop, machine, config) measurement."""
-    doc = {
-        "version": CACHE_VERSION,
-        "loop": ddg.name,
-        "ddg": ddg_fingerprint(ddg),
-        "machine": machine_fingerprint(machine),
-        "config": config_fingerprint(config),
-        "verify": verify,
+    return compile_fingerprint(ddg, machine, config, verify, extra={
         "lint": lint_fingerprint(lint_config),
         "certify": certify_fingerprint(certify_config),
-    }
-    payload = json.dumps(doc, separators=(",", ":"), sort_keys=True)
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    })
 
 
-class ResultCache:
-    """Directory of per-loop outcomes, one JSON file per cache key.
+# ----------------------------------------------------------------------
+# Worker side
+# ----------------------------------------------------------------------
+class _HintedBaseline:
+    """A pool worker's stand-in for the caller's :class:`UnifiedBaseline`.
 
-    Writes are atomic (temp file + rename) so a killed sweep never
-    leaves a truncated entry behind.  Timeout outcomes are never
-    stored: a bigger budget on the next run should retry them.
+    It answers with the IIs the caller's baseline already held, by loop
+    name, and compiles the rest.  It learns nothing and checks no names:
+    the caller's baseline does both as outcomes merge back in suite
+    order (:func:`_admitted`).
     """
 
-    def __init__(self, root: str) -> None:
-        self.root = root
-        os.makedirs(root, exist_ok=True)
+    def __init__(self, known: Dict[str, int]) -> None:
+        self.known = known
+        self.elapsed_seconds = 0.0
 
-    def _path(self, key: str) -> str:
-        return os.path.join(self.root, f"{key}.json")
-
-    def load(self, key: str) -> Optional[LoopOutcome]:
-        """The cached outcome under ``key``, or None."""
+    def ii_for(self, ddg: Ddg, unified: Machine) -> int:
+        ii = self.known.get(ddg.name)
+        if ii is not None:
+            return ii
+        started = time.perf_counter()
         try:
-            with open(self._path(key)) as handle:
-                doc = json.load(handle)
-        except (FileNotFoundError, json.JSONDecodeError):
-            return None
-        if doc.get("version") != CACHE_VERSION:
-            return None
-        return LoopOutcome(
-            loop_name=doc["loop_name"],
-            unified_ii=int(doc["unified_ii"]),
-            clustered_ii=int(doc["clustered_ii"]),
-            copies=int(doc["copies"]),
-            status=doc.get("status", STATUS_OK),
-            error=doc.get("error", ""),
-            lint_errors=int(doc.get("lint_errors", 0)),
-            lint_warnings=int(doc.get("lint_warnings", 0)),
-            lint_codes=tuple(doc.get("lint_codes", ())),
-            cert_errors=int(doc.get("cert_errors", 0)),
-            cert_codes=tuple(doc.get("cert_codes", ())),
-            exact_status=doc.get("exact_status", ""),
-        )
-
-    def store(self, key: str, outcome: LoopOutcome) -> None:
-        """Persist one outcome (no-op for timeouts)."""
-        if outcome.status == STATUS_TIMEOUT:
-            return
-        doc = {
-            "version": CACHE_VERSION,
-            "loop_name": outcome.loop_name,
-            "unified_ii": outcome.unified_ii,
-            "clustered_ii": outcome.clustered_ii,
-            "copies": outcome.copies,
-            "status": outcome.status,
-            "error": outcome.error,
-            "lint_errors": outcome.lint_errors,
-            "lint_warnings": outcome.lint_warnings,
-            "lint_codes": list(outcome.lint_codes),
-            "cert_errors": outcome.cert_errors,
-            "cert_codes": list(outcome.cert_codes),
-            "exact_status": outcome.exact_status,
-        }
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w") as handle:
-            json.dump(doc, handle)
-        os.replace(tmp, path)
-
-    def __len__(self) -> int:
-        return sum(
-            1 for entry in os.listdir(self.root)
-            if entry.endswith(".json")
-        )
+            return experiment.compile_loop(ddg, unified).ii
+        finally:
+            self.elapsed_seconds += time.perf_counter() - started
 
 
-# ----------------------------------------------------------------------
-# Per-loop measurement (shared by the in-process and worker paths)
-# ----------------------------------------------------------------------
-class _LoopTimeout(Exception):
-    """Raised by the SIGALRM handler when a loop blows its budget."""
-
-
-def _alarm_handler(signum, frame):  # pragma: no cover - trivial
-    raise _LoopTimeout()
-
-
-def _raise_timeout_in_thread(thread_id: int,
-                             fired: threading.Event) -> None:
-    """Watchdog body: asynchronously raise :class:`_LoopTimeout` in the
-    budgeted thread (lands at its next bytecode boundary)."""
-    fired.set()
-    modified = ctypes.pythonapi.PyThreadState_SetAsyncExc(
-        ctypes.c_ulong(thread_id), ctypes.py_object(_LoopTimeout)
-    )
-    if modified > 1:  # pragma: no cover - undo a bad broadcast
-        ctypes.pythonapi.PyThreadState_SetAsyncExc(
-            ctypes.c_ulong(thread_id), None
-        )
-
-
-class _TimeBudget:
-    """Wall-time budget around one loop's compiles.
-
-    On the main thread this arms ``ITIMER_REAL``/SIGALRM — and, unlike
-    the earlier implementation (which disarmed the timer outright on
-    exit), it saves the ambient timer on ``__enter__`` and re-arms it
-    with its *remaining* interval on ``__exit__``, so nested budgets
-    and host processes that use ITIMER_REAL themselves keep their
-    deadlines.
-
-    Off the main thread SIGALRM is undeliverable, so the budget
-    degrades to a watchdog :class:`threading.Timer` that raises
-    :class:`_LoopTimeout` in the budgeted thread via
-    ``PyThreadState_SetAsyncExc``; every budget enforced this way bumps
-    the ``engine.budget_fallback`` counter.  The async raise only lands
-    at a bytecode boundary, so code wedged inside C is caught by the
-    worker pool's process-level deadline, not here.
-    """
-
-    def __init__(self, seconds: float) -> None:
-        self.seconds = seconds
-        self._armed = False
-        self._previous_handler = None
-        self._prior_timer = (0.0, 0.0)
-        self._entered_at = 0.0
-        self._watchdog: Optional[threading.Timer] = None
-        self._fallback_fired = threading.Event()
-
-    def __enter__(self) -> "_TimeBudget":
-        if self.seconds <= 0:
-            return self
-        if threading.current_thread() is threading.main_thread():
-            self._previous_handler = signal.signal(
-                signal.SIGALRM, _alarm_handler
-            )
-            self._entered_at = time.monotonic()
-            self._prior_timer = signal.setitimer(
-                signal.ITIMER_REAL, self.seconds
-            )
-            self._armed = True
-        else:
-            self._watchdog = threading.Timer(
-                self.seconds, _raise_timeout_in_thread,
-                args=(threading.get_ident(), self._fallback_fired),
-            )
-            self._watchdog.daemon = True
-            self._watchdog.start()
-        return self
-
-    def __exit__(self, *exc: object) -> bool:
-        if self._armed:
-            signal.setitimer(signal.ITIMER_REAL, 0.0)
-            signal.signal(signal.SIGALRM, self._previous_handler)
-            prior_seconds, prior_interval = self._prior_timer
-            if prior_seconds > 0:
-                elapsed = time.monotonic() - self._entered_at
-                remaining = max(prior_seconds - elapsed, 1e-6)
-                signal.setitimer(
-                    signal.ITIMER_REAL, remaining, prior_interval
-                )
-        elif self._watchdog is not None:
-            self._watchdog.cancel()
-            if self._fallback_fired.is_set():
-                obs.count("engine.budget_fallback")
-        return False
-
-
-def _measure_loop(
-    ddg: Ddg,
-    machine: Machine,
-    unified: Machine,
-    config: AssignmentConfig,
-    verify: bool,
-    timeout_seconds: float,
-    unified_ii_hint: Optional[int],
-    lint_config=None,
-    certify_config=None,
-) -> Tuple[LoopOutcome, float]:
-    """One loop's outcome plus the seconds spent on its unified baseline.
-
-    Mirrors the serial runner's per-loop body exactly (same exception
-    taxonomy, same outcome fields) so engine outcomes stay bit-identical
-    to the reference implementation.
-    """
-    unified_ii = 0
-    baseline_seconds = 0.0
-    with obs.span("loop", loop=ddg.name) as loop_span:
-        try:
-            with _TimeBudget(timeout_seconds):
-                if unified_ii_hint is not None:
-                    unified_ii = unified_ii_hint
-                else:
-                    baseline_started = time.perf_counter()
-                    try:
-                        unified_ii = compile_loop(ddg, unified).ii
-                    finally:
-                        baseline_seconds += (
-                            time.perf_counter() - baseline_started
-                        )
-                clustered = compile_loop(
-                    ddg, machine, config, verify=verify,
-                    lint_config=lint_config,
-                    certify_config=certify_config,
-                )
-        except CompilationError as exc:
-            obs.count("experiment.failures")
-            loop_span.note(outcome="failed")
-            outcome = LoopOutcome(
-                loop_name=ddg.name, unified_ii=unified_ii,
-                clustered_ii=0, copies=0,
-                status=STATUS_FAILED, error=str(exc),
-            )
-        except ValueError as exc:
-            obs.count("experiment.failures")
-            loop_span.note(outcome="failed")
-            outcome = LoopOutcome(
-                loop_name=ddg.name, unified_ii=unified_ii,
-                clustered_ii=0, copies=0,
-                status=STATUS_FAILED, error=f"invalid loop: {exc}",
-            )
-        except _LoopTimeout:
-            obs.count("experiment.timeouts")
-            loop_span.note(outcome="timeout")
-            outcome = LoopOutcome(
-                loop_name=ddg.name, unified_ii=unified_ii,
-                clustered_ii=0, copies=0,
-                status=STATUS_TIMEOUT,
-                error=(f"exceeded the {timeout_seconds:g}s "
-                       f"per-loop budget"),
-            )
-        else:
-            deviation = clustered.ii - unified_ii
-            loop_span.note(
-                ii=clustered.ii, deviation=deviation,
-                copies=clustered.copy_count,
-            )
-            obs.count("experiment.loops")
-            report = clustered.lint_report
-            certified = clustered.certified
-            outcome = LoopOutcome(
-                loop_name=ddg.name,
-                unified_ii=unified_ii,
-                clustered_ii=clustered.ii,
-                copies=clustered.copy_count,
-                lint_errors=len(report.errors) if report else 0,
-                lint_warnings=len(report.warnings) if report else 0,
-                lint_codes=tuple(report.codes()) if report else (),
-                cert_errors=len(certified.issues) if certified else 0,
-                cert_codes=certified.codes() if certified else (),
-                exact_status=(
-                    certified.exact_status if certified else ""
-                ),
-            )
-    return outcome, baseline_seconds
-
-
-# ----------------------------------------------------------------------
-# Worker-side chunk execution
-# ----------------------------------------------------------------------
 def _run_chunk(payload: Tuple) -> Tuple:
-    """Process-pool task: measure one chunk of (index, loop) pairs.
+    """Pool task ``engine_chunk``: measure one chunk of loops.
 
-    Returns ``(records, events, meta)`` where ``records`` is a list of
-    ``(suite_index, outcome, baseline_seconds)`` triples, ``events`` is
-    the worker trace's serialized event list (None when the parent was
-    not tracing), and ``meta`` carries the worker-side correlation
-    facts — pid, trace id, the worker trace's wall-clock epoch, and the
-    chunk's execute wall time — that let the parent rebase the grafted
-    spans onto its own timeline and split queue wait from execution.
+    Returns ``(records, events, meta)`` where ``records`` holds one
+    ``(outcome, baseline_seconds)`` pair per loop, ``events`` is the
+    worker trace's serialized event list (None when the parent was not
+    tracing), and ``meta`` carries the worker-side correlation facts —
+    pid, trace id, the worker trace's wall-clock epoch, and the chunk's
+    execute wall time — that let the parent rebase the grafted spans
+    onto its own timeline and split queue wait from execution.
     """
-    (items, machine, config, verify,
-     timeout_seconds, known_ii, want_trace, lint_config,
+    (loops, machine, config, verify, known, want_trace, lint_config,
      certify_config) = payload
     trace = obs.Trace() if want_trace else None
     meta = None
@@ -445,14 +172,15 @@ def _run_chunk(payload: Tuple) -> Tuple:
     started = time.perf_counter()
     try:
         unified = machine.unified_equivalent()
+        baseline = _HintedBaseline(known)
         records = []
-        for index, ddg in items:
-            outcome, baseline_seconds = _measure_loop(
-                ddg, machine, unified, config, verify,
-                timeout_seconds, known_ii.get(ddg.name),
+        for ddg in loops:
+            before = baseline.elapsed_seconds
+            outcome = measure_loop(
+                ddg, machine, unified, config, baseline, verify,
                 lint_config, certify_config,
             )
-            records.append((index, outcome, baseline_seconds))
+            records.append((outcome, baseline.elapsed_seconds - before))
         events = obs.trace_events(trace) if trace is not None else None
         if trace is not None:
             meta = {
@@ -484,7 +212,7 @@ def _chunked(
 
 
 # ----------------------------------------------------------------------
-# The engine
+# The runner
 # ----------------------------------------------------------------------
 def run_engine_experiment(
     loops: Sequence[Ddg],
@@ -495,10 +223,11 @@ def run_engine_experiment(
     verify: bool = False,
     options: Optional[EngineOptions] = None,
 ) -> ExperimentResult:
-    """Measure one clustered configuration with the parallel engine.
+    """Measure one clustered configuration against its unified baseline.
 
-    Outcomes are identical to the serial reference runner; see the
-    module docstring for what ``options`` adds on top.
+    Loops are measured in-process when ``options.workers <= 1`` and no
+    budget is set, else on the worker pool; see the module docstring
+    for what ``options`` adds on top.
     """
     if options is None:
         options = EngineOptions()
@@ -506,165 +235,179 @@ def run_engine_experiment(
         baseline = UnifiedBaseline()
     loops = list(loops)
     unified = machine.unified_equivalent()
-    cache = (ResultCache(options.cache_dir)
-             if options.cache_dir else None)
     result = ExperimentResult(
         label=label or f"{machine.name}/{config.name}",
         machine_name=machine.name,
         config_name=config.name,
     )
+    cache = (ShardedResultCache(options.cache_dir, version=CACHE_VERSION)
+             if options.cache_dir else None)
     started = time.perf_counter()
     baseline_before = baseline.elapsed_seconds
-    outcomes: List[Optional[LoopOutcome]] = [None] * len(loops)
-    keys: List[Optional[str]] = [None] * len(loops)
-    replayed: set = set()
     try:
         with obs.span(
             "experiment", label=result.label, machine=machine.name,
             loops=len(loops), workers=options.workers,
         ):
-            pending: List[Tuple[int, Ddg]] = []
-            for index, ddg in enumerate(loops):
-                if cache is not None:
-                    keys[index] = outcome_cache_key(
+            keys: List[str] = []
+            replayed: Dict[int, LoopOutcome] = {}
+            if cache is not None:
+                keys = [
+                    outcome_cache_key(
                         ddg, machine, config, verify,
                         options.lint_config, options.certify_config,
                     )
-                hit = (cache.load(keys[index])
-                       if cache is not None and options.resume else None)
-                if hit is not None:
-                    obs.count("engine.cache_hits")
-                    result.cache_hits += 1
-                    outcomes[index] = hit
-                    replayed.add(index)
-                    if hit.unified_ii > 0:
-                        baseline.seed(unified.name, ddg, hit.unified_ii)
+                    for ddg in loops
+                ]
+                if options.resume:
+                    replayed = _replay_all(cache, keys, result)
+            # Outcomes measured away from the shared baseline: replays,
+            # and everything the pool measured.
+            elsewhere = dict(replayed)
+            pending = [
+                (index, ddg) for index, ddg in enumerate(loops)
+                if index not in replayed
+            ]
+            if pending and (options.timeout_seconds > 0
+                            or (options.workers >= 2 and len(pending) > 1)):
+                elsewhere.update(_run_pooled(
+                    pending, machine, unified, config, verify, options,
+                    baseline, result,
+                ))
+            for index, ddg in enumerate(loops):
+                outcome = elsewhere.get(index)
+                if outcome is None:
+                    outcome = measure_loop(
+                        ddg, machine, unified, config, baseline, verify,
+                        options.lint_config, options.certify_config,
+                    )
                 else:
-                    if cache is not None and options.resume:
-                        obs.count("engine.cache_misses")
-                    pending.append((index, ddg))
-
-            if options.workers >= 2 and len(pending) > 1:
-                _run_parallel(
-                    pending, machine, unified, config, verify,
-                    options, baseline, outcomes, result,
-                )
-            else:
-                _run_inline(
-                    pending, machine, unified, config, verify,
-                    options, baseline, outcomes, result,
-                )
-
-            if cache is not None:
-                for index, outcome in enumerate(outcomes):
-                    if outcome is not None and index not in replayed:
-                        cache.store(keys[index], outcome)
+                    outcome = _admitted(baseline, unified.name, ddg,
+                                        outcome)
+                if (cache is not None and index not in replayed
+                        and outcome.status != STATUS_TIMEOUT):
+                    cache.put(keys[index], dataclasses.asdict(outcome))
+                if options.strict and not outcome.ok:
+                    raise ExperimentError(
+                        f"loop {ddg.name!r} failed: {outcome.error}",
+                        partial_result=result, loop_name=ddg.name,
+                    )
+                result.outcomes.append(outcome)
     finally:
+        # Set unconditionally so failure paths still report wall time;
+        # baseline compile time is reported on its own, not charged to
+        # whichever experiment happened to run first.
         result.baseline_seconds += (
             baseline.elapsed_seconds - baseline_before
         )
         result.elapsed_seconds = (
             time.perf_counter() - started - result.baseline_seconds
         )
-    result.outcomes = [
-        outcome for outcome in outcomes if outcome is not None
-    ]
-    if options.strict:
-        _raise_on_first_failure(result)
     return result
 
 
-def _run_inline(
-    pending, machine, unified, config, verify, options,
-    baseline, outcomes, result,
-) -> None:
-    """Measure the pending loops in-process, sharing the baseline cache."""
-    for index, ddg in pending:
-        hint = baseline.lookup(unified.name, ddg.name)
-        outcome, baseline_seconds = _measure_loop(
-            ddg, machine, unified, config, verify,
-            options.timeout_seconds, hint, options.lint_config,
-            options.certify_config,
+def _replay_all(
+    cache: ShardedResultCache, keys: List[str], result: ExperimentResult,
+) -> Dict[int, LoopOutcome]:
+    """Suite index → cached outcome, for every loop the cache holds."""
+    replayed = {}
+    for index, key in enumerate(keys):
+        doc = cache.get(key)
+        if doc is None:
+            obs.count("engine.cache_misses")
+            continue
+        obs.count("engine.cache_hits")
+        result.cache_hits += 1
+        replayed[index] = LoopOutcome(**dict(
+            doc, lint_codes=tuple(doc["lint_codes"]),
+            cert_codes=tuple(doc["cert_codes"]),
+        ))
+    return replayed
+
+
+def _admitted(
+    baseline: UnifiedBaseline, unified_name: str, ddg: Ddg,
+    outcome: LoopOutcome,
+) -> LoopOutcome:
+    """An outcome measured elsewhere (a worker, the cache), as the shared
+    baseline sees it in suite order.
+
+    A loop whose name another loop's content already holds fails here,
+    exactly as :meth:`UnifiedBaseline.ii_for` fails it in-process;
+    otherwise its unified II seeds the baseline for later entries.
+    """
+    try:
+        baseline.seed(unified_name, ddg, outcome.unified_ii)
+    except ValueError as exc:
+        obs.count("experiment.failures")
+        return LoopOutcome(
+            loop_name=ddg.name, unified_ii=0, clustered_ii=0, copies=0,
+            status=STATUS_FAILED, error=failure_message(exc),
         )
-        result.baseline_seconds += baseline_seconds
-        if outcome.unified_ii > 0:
-            baseline.seed(unified.name, ddg, outcome.unified_ii)
-        outcomes[index] = outcome
+    return outcome
 
 
-def _run_parallel(
-    pending, machine, unified, config, verify, options,
-    baseline, outcomes, result,
-) -> None:
-    """Fan the pending loops out over the warm worker pool.
+def _run_pooled(
+    pending, machine, unified, config, verify, options, baseline, result,
+) -> Dict[int, LoopOutcome]:
+    """Measure the pending loops on the warm worker pool.
 
     Chunks dispatch as ``engine_chunk`` tasks on ``options.pool`` (or
-    the process-wide shared pool) and merge back in submission order,
-    so the outcome list is bit-identical to serial no matter which
-    worker finished what.  A chunk whose worker crashed past the pool's
-    retry budget degrades to ``failed`` outcomes; a chunk that blew a
-    pool-level deadline degrades to ``timeout`` outcomes.
+    the process-wide shared pool); with a budget every loop is its own
+    task with ``deadline=timeout_seconds``.  Returns suite index →
+    outcome.  A chunk whose worker crashed past the pool's retry budget
+    degrades to ``failed`` outcomes; a chunk that blew its deadline
+    degrades to ``timeout`` outcomes.
     """
-    known_ii = {
-        ddg.name: ii
-        for _, ddg in pending
-        for ii in [baseline.lookup(unified.name, ddg.name)]
-        if ii is not None
-    }
+    budget = options.timeout_seconds
+    workers = max(1, options.workers)
+    known = {}
+    for _, ddg in pending:
+        ii = baseline.lookup(unified.name, ddg.name)
+        if ii is not None:
+            known[ddg.name] = ii
     want_trace = obs.enabled()
-    chunks = _chunked(pending, options.workers, options.chunk_size)
-    payloads = [
-        (chunk, machine, config, verify,
-         options.timeout_seconds, known_ii, want_trace,
-         options.lint_config, options.certify_config)
-        for chunk in chunks
-    ]
-    by_name = {ddg.name: ddg for _, ddg in pending}
+    chunks = _chunked(
+        pending, workers, 1 if budget > 0 else options.chunk_size
+    )
     parent_trace = obs.current_trace()
     lanes: dict = {}
     pool = options.pool
     if pool is None:
-        pool = shared_pool(options.workers)
+        pool = shared_pool(workers)
     else:
-        pool.ensure_workers(options.workers)
+        pool.ensure_workers(workers)
     futures = [
-        pool.submit("engine_chunk", payload) for payload in payloads
+        pool.submit("engine_chunk", (
+            [ddg for _, ddg in chunk], machine, config, verify,
+            {ddg.name: known[ddg.name] for _, ddg in chunk
+             if ddg.name in known},
+            want_trace, options.lint_config, options.certify_config,
+        ), deadline=budget if budget > 0 else None)
+        for chunk in chunks
     ]
+    pooled: Dict[int, LoopOutcome] = {}
     for chunk, future in zip(chunks, futures):
         try:
             task = future.result()
         except WorkerCrashError as exc:
             obs.count("engine.chunk_crashes")
-            for index, ddg in chunk:
-                obs.count("experiment.failures")
-                outcomes[index] = LoopOutcome(
-                    loop_name=ddg.name,
-                    unified_ii=known_ii.get(ddg.name, 0),
-                    clustered_ii=0, copies=0,
-                    status=STATUS_FAILED,
-                    error=f"worker crashed: {exc}",
-                )
+            pooled.update(_lost(
+                chunk, known, STATUS_FAILED, f"worker crashed: {exc}",
+            ))
             continue
         except DeadlineExceeded as exc:
             obs.count("engine.chunk_deadlines")
-            for index, ddg in chunk:
-                obs.count("experiment.timeouts")
-                outcomes[index] = LoopOutcome(
-                    loop_name=ddg.name,
-                    unified_ii=known_ii.get(ddg.name, 0),
-                    clustered_ii=0, copies=0,
-                    status=STATUS_TIMEOUT, error=str(exc),
-                )
+            pooled.update(_lost(
+                chunk, known, STATUS_TIMEOUT,
+                f"exceeded the {budget:g}s per-loop budget"
+                if budget > 0 else str(exc),
+            ))
             continue
         records, events, meta = task.value
-        for index, outcome, baseline_seconds in records:
+        for (index, _), (outcome, baseline_seconds) in zip(chunk, records):
             result.baseline_seconds += baseline_seconds
-            if outcome.unified_ii > 0:
-                baseline.seed(
-                    unified.name, by_name[outcome.loop_name],
-                    outcome.unified_ii,
-                )
-            outcomes[index] = outcome
+            pooled[index] = outcome
         if events and parent_trace is not None:
             worker_trace = obs.trace_from_events(events)
             # Stable small lane ids, one per worker process, in order
@@ -682,29 +425,22 @@ def _run_parallel(
                 queue_wait_s=round(task.queue_wait_s, 6),
                 execute_s=round(task.execute_s, 6),
             )
+    return pooled
 
 
-def _raise_on_first_failure(result: ExperimentResult) -> None:
-    """Strict mode: mirror the serial runner's abort semantics.
-
-    The raised :class:`ExperimentError` carries a partial result holding
-    the outcomes *before* the first failure in suite order — exactly
-    what the serial strict path would have accumulated.
-    """
-    for position, outcome in enumerate(result.outcomes):
-        if outcome.ok:
-            continue
-        partial = ExperimentResult(
-            label=result.label,
-            machine_name=result.machine_name,
-            config_name=result.config_name,
-            outcomes=list(result.outcomes[:position]),
-            elapsed_seconds=result.elapsed_seconds,
-            baseline_seconds=result.baseline_seconds,
-            cache_hits=result.cache_hits,
+def _lost(
+    chunk: List[Tuple[int, Ddg]], known: Dict[str, int], status: str,
+    error: str,
+) -> Dict[int, LoopOutcome]:
+    """Outcomes of a chunk the pool could not finish (crash, deadline)."""
+    obs.count(
+        "experiment.timeouts" if status == STATUS_TIMEOUT
+        else "experiment.failures", len(chunk),
+    )
+    return {
+        index: LoopOutcome(
+            loop_name=ddg.name, unified_ii=known.get(ddg.name, 0),
+            clustered_ii=0, copies=0, status=status, error=error,
         )
-        raise ExperimentError(
-            f"loop {outcome.loop_name!r} failed: {outcome.error}",
-            partial_result=partial,
-            loop_name=outcome.loop_name,
-        )
+        for index, ddg in chunk
+    }

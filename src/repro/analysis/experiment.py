@@ -6,13 +6,13 @@ distribution of the II difference.  ``UnifiedBaseline`` caches the unified
 IIs so sweeps that share a width (e.g. the bus-count sweeps of Figures
 14–17) pay for the baseline only once.
 
-Fault tolerance: by default a loop that fails to compile (or is
-malformed) is recorded as a ``failed`` :class:`LoopOutcome` and the run
-continues — one bad loop out of 1327 no longer destroys a sweep.
-``strict=True`` restores the historical abort-on-first-failure
-behaviour (:class:`ExperimentError`).  This serial runner is the
-*reference implementation*; the parallel engine in
-:mod:`repro.analysis.engine` must produce identical outcomes.
+:func:`measure_loop` is the one per-loop measurement.  The runner that
+drives it over a suite is :func:`repro.analysis.engine.run_engine_experiment`;
+:func:`run_experiment` is its zero-worker case.  By default a loop that
+fails to compile (or is malformed) is recorded as a ``failed``
+:class:`LoopOutcome` and the run continues — one bad loop out of 1327
+no longer destroys a sweep.  ``strict=True`` aborts on the first failed
+loop with an :class:`ExperimentError`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,12 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .. import obs
-from ..core.driver import CompilationError, compile_loop
+from ..core.driver import (
+    LOOP_FAILURES,
+    CompilationError,
+    compile_loop,
+    failure_message,
+)
 from ..core.variants import HEURISTIC_ITERATIVE, AssignmentConfig
 from ..ddg.graph import Ddg
 from ..machine.machine import Machine
@@ -209,17 +214,23 @@ class UnifiedBaseline:
         #: Total wall seconds spent compiling baseline (unified) loops.
         self.elapsed_seconds = 0.0
 
-    def ii_for(self, ddg: Ddg, unified: Machine) -> int:
-        """Unified II of one loop, computed once."""
-        key = (unified.name, ddg.name)
+    def _check(self, key: Tuple[str, str], ddg: Ddg) -> str:
+        """The loop's fingerprint; ValueError if another loop's content
+        already holds its name."""
         fingerprint = ddg_fingerprint(ddg)
         known = self._fingerprints.get(key)
         if known is not None and known != fingerprint:
             raise ValueError(
                 f"duplicate loop name {ddg.name!r} with different "
-                f"content on machine {unified.name!r}: baseline cache "
+                f"content on machine {key[0]!r}: baseline cache "
                 f"keys would collide"
             )
+        return fingerprint
+
+    def ii_for(self, ddg: Ddg, unified: Machine) -> int:
+        """Unified II of one loop, computed once."""
+        key = (unified.name, ddg.name)
+        fingerprint = self._check(key, ddg)
         if key not in self._cache:
             started = time.perf_counter()
             try:
@@ -235,21 +246,72 @@ class UnifiedBaseline:
         return self._cache.get((unified_name, loop_name))
 
     def seed(self, unified_name: str, ddg: Ddg, ii: int) -> None:
-        """Record an II computed elsewhere (a worker process, a cache)."""
+        """Record an II computed elsewhere (a worker process, a cache).
+
+        The name guard of :meth:`ii_for` applies; an ``ii`` of 0 (the
+        baseline compile failed) records nothing.
+        """
         key = (unified_name, ddg.name)
-        fingerprint = ddg_fingerprint(ddg)
-        known = self._fingerprints.get(key)
-        if known is not None and known != fingerprint:
-            raise ValueError(
-                f"duplicate loop name {ddg.name!r} with different "
-                f"content on machine {unified_name!r}: baseline cache "
-                f"keys would collide"
-            )
-        self._cache[key] = ii
-        self._fingerprints[key] = fingerprint
+        fingerprint = self._check(key, ddg)
+        if ii > 0:
+            self._cache[key] = ii
+            self._fingerprints[key] = fingerprint
 
     def __len__(self) -> int:
         return len(self._cache)
+
+
+def measure_loop(
+    ddg: Ddg,
+    machine: Machine,
+    unified: Machine,
+    config: AssignmentConfig,
+    baseline: UnifiedBaseline,
+    verify: bool = False,
+    lint_config=None,
+    certify_config=None,
+) -> LoopOutcome:
+    """One loop's outcome: its unified II from ``baseline``, then the
+    clustered compile, with :data:`LOOP_FAILURES` recorded as ``failed``.
+
+    The single per-loop measurement of the experiment runner; it runs
+    in the caller's process or inside a pool worker.
+    """
+    with obs.span("loop", loop=ddg.name) as loop_span:
+        unified_ii = 0
+        try:
+            unified_ii = baseline.ii_for(ddg, unified)
+            clustered = compile_loop(
+                ddg, machine, config, verify=verify,
+                lint_config=lint_config, certify_config=certify_config,
+            )
+        except LOOP_FAILURES as exc:
+            obs.count("experiment.failures")
+            loop_span.note(outcome="failed")
+            return LoopOutcome(
+                loop_name=ddg.name, unified_ii=unified_ii,
+                clustered_ii=0, copies=0,
+                status=STATUS_FAILED, error=failure_message(exc),
+            )
+        loop_span.note(
+            ii=clustered.ii, deviation=clustered.ii - unified_ii,
+            copies=clustered.copy_count,
+        )
+        obs.count("experiment.loops")
+        report = clustered.lint_report
+        certified = clustered.certified
+        return LoopOutcome(
+            loop_name=ddg.name,
+            unified_ii=unified_ii,
+            clustered_ii=clustered.ii,
+            copies=clustered.copy_count,
+            lint_errors=len(report.errors) if report else 0,
+            lint_warnings=len(report.warnings) if report else 0,
+            lint_codes=tuple(report.codes()) if report else (),
+            cert_errors=len(certified.issues) if certified else 0,
+            cert_codes=certified.codes() if certified else (),
+            exact_status=certified.exact_status if certified else "",
+        )
 
 
 def run_experiment(
@@ -265,12 +327,13 @@ def run_experiment(
 ) -> ExperimentResult:
     """Measure one clustered configuration against its unified baseline.
 
-    A loop that raises :class:`CompilationError` (or ``ValueError``
-    for a malformed graph) is recorded as a ``failed`` outcome and the
-    run continues.  With ``strict=True`` a ``CompilationError`` aborts
-    the run as an :class:`ExperimentError` carrying the partial result
-    (malformed-graph ``ValueError`` propagates unchanged, as it always
-    did).
+    The zero-worker case of
+    :func:`repro.analysis.engine.run_engine_experiment`: every loop is
+    measured in this process, in suite order.  A loop that raises
+    :class:`CompilationError` (or ``ValueError`` for a malformed graph)
+    is recorded as a ``failed`` outcome and the run continues.  With
+    ``strict=True`` the first failed loop aborts the run as an
+    :class:`ExperimentError` carrying the partial result.
 
     ``lint_config`` (a :class:`repro.lint.LintConfig`) runs the static
     analyzer on every compiled loop and records the per-loop diagnostic
@@ -285,107 +348,16 @@ def run_experiment(
     oracle's verdict, when enabled) on the :class:`LoopOutcome`; with
     ``certify_config.strict`` a certificate failure fails the loop.
     """
-    if baseline is None:
-        baseline = UnifiedBaseline()
-    unified = machine.unified_equivalent()
-    result = ExperimentResult(
-        label=label or f"{machine.name}/{config.name}",
-        machine_name=machine.name,
-        config_name=config.name,
+    from . import engine  # engine imports this module
+
+    return engine.run_engine_experiment(
+        loops, machine, config, label=label, baseline=baseline,
+        verify=verify,
+        options=engine.EngineOptions(
+            strict=strict, lint_config=lint_config,
+            certify_config=certify_config,
+        ),
     )
-    started = time.perf_counter()
-    baseline_before = baseline.elapsed_seconds
-    try:
-        with obs.span(
-            "experiment", label=result.label, machine=machine.name,
-            loops=len(loops),
-        ):
-            for ddg in loops:
-                with obs.span("loop", loop=ddg.name) as loop_span:
-                    unified_ii = 0
-                    try:
-                        unified_ii = baseline.ii_for(ddg, unified)
-                        clustered = compile_loop(
-                            ddg, machine, config, verify=verify,
-                            lint_config=lint_config,
-                            certify_config=certify_config,
-                        )
-                    except CompilationError as exc:
-                        obs.count("experiment.failures")
-                        loop_span.note(outcome="failed")
-                        if strict:
-                            raise ExperimentError(
-                                f"loop {ddg.name!r} failed: {exc}",
-                                partial_result=result,
-                                loop_name=ddg.name,
-                            ) from exc
-                        outcome = LoopOutcome(
-                            loop_name=ddg.name,
-                            unified_ii=unified_ii,
-                            clustered_ii=0,
-                            copies=0,
-                            status=STATUS_FAILED,
-                            error=str(exc),
-                        )
-                    except ValueError as exc:
-                        if strict:
-                            raise
-                        obs.count("experiment.failures")
-                        loop_span.note(outcome="failed")
-                        outcome = LoopOutcome(
-                            loop_name=ddg.name,
-                            unified_ii=unified_ii,
-                            clustered_ii=0,
-                            copies=0,
-                            status=STATUS_FAILED,
-                            error=f"invalid loop: {exc}",
-                        )
-                    else:
-                        deviation = clustered.ii - unified_ii
-                        loop_span.note(
-                            ii=clustered.ii, deviation=deviation,
-                            copies=clustered.copy_count,
-                        )
-                        obs.count("experiment.loops")
-                        report = clustered.lint_report
-                        certified = clustered.certified
-                        outcome = LoopOutcome(
-                            loop_name=ddg.name,
-                            unified_ii=unified_ii,
-                            clustered_ii=clustered.ii,
-                            copies=clustered.copy_count,
-                            lint_errors=(
-                                len(report.errors) if report else 0
-                            ),
-                            lint_warnings=(
-                                len(report.warnings) if report else 0
-                            ),
-                            lint_codes=(
-                                tuple(report.codes()) if report else ()
-                            ),
-                            cert_errors=(
-                                len(certified.issues)
-                                if certified else 0
-                            ),
-                            cert_codes=(
-                                certified.codes() if certified else ()
-                            ),
-                            exact_status=(
-                                certified.exact_status
-                                if certified else ""
-                            ),
-                        )
-                result.outcomes.append(outcome)
-    finally:
-        # Set unconditionally so failure paths still report wall time;
-        # baseline compile time is reported on its own, not charged to
-        # whichever experiment happened to run first.
-        result.baseline_seconds = \
-            baseline.elapsed_seconds - baseline_before
-        result.elapsed_seconds = (
-            time.perf_counter() - started - result.baseline_seconds
-        )
-    return result
 
 
 def run_sweep(

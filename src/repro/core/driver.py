@@ -36,6 +36,22 @@ class CompilationError(RuntimeError):
     """No valid schedule was found within the II safety bound."""
 
 
+#: What :func:`compile_loop` raises when the loop, not the caller, is
+#: at fault: no schedule found, or a malformed graph (``ValueError``).
+#: Callers that record failures instead of raising them (the
+#: experiment runner, the compile service) catch exactly these.
+LOOP_FAILURES = (CompilationError, ValueError)
+
+
+def failure_message(exc: Exception) -> str:
+    """The recorded error text of one of :data:`LOOP_FAILURES`: a
+    compile failure's own message, or ``invalid loop: ...`` for a
+    malformed graph."""
+    if isinstance(exc, CompilationError):
+        return str(exc)
+    return f"invalid loop: {exc}"
+
+
 @dataclass
 class CompiledLoop:
     """The outcome of compiling one loop for one machine."""

@@ -1,4 +1,7 @@
-"""Sharded content-addressed result cache for the compile service.
+"""Sharded content-addressed result cache.
+
+The one on-disk result cache: the compile service's replies and the
+experiment runner's ``cache_dir`` outcomes both live here.
 
 Entries are small JSON documents keyed by the hex compile-request
 fingerprint (:func:`repro.workloads.fingerprint.compile_fingerprint`).
@@ -8,8 +11,8 @@ and shard subsets can be rsynced / expired independently.
 
 Writes are atomic (temp file + rename), replays are validated against
 the writer's ``version`` (the engine's ``CACHE_VERSION`` — one bump
-invalidates both the engine's flat cache and this one), and a corrupt
-or torn entry reads as a miss, never an error.
+invalidates every entry), and a corrupt or torn entry reads as a miss,
+never an error.
 """
 
 from __future__ import annotations

@@ -26,9 +26,10 @@ cost model:
 * **fault tolerance** — a worker that dies mid-task is detected by the
   collector thread, its in-flight task is retried on a live worker (up
   to ``max_task_retries``), and a replacement worker is spawned; a task
-  that exceeds its ``deadline`` gets its worker killed and recycled
-  (the portable budget fallback for code SIGALRM cannot reach) and its
-  future fails with :class:`DeadlineExceeded`;
+  that exceeds its ``deadline`` gets its worker killed and recycled and
+  its future fails with :class:`DeadlineExceeded` — the one timeout
+  mechanism in the repository (the experiment runner's per-loop budget
+  is a per-task deadline here);
 * **graceful drain** — ``close()`` finishes outstanding work, stops
   workers with sentinels, and joins them.
 
@@ -52,7 +53,8 @@ from typing import Dict, List, Optional
 
 from . import tasks as task_registry
 
-#: How often the collector polls worker liveness while idle (seconds).
+#: How often the collector checks task deadlines and worker liveness
+#: (seconds), busy or idle.
 _POLL_INTERVAL = 0.05
 
 _MSG_TASK = "task"
@@ -391,20 +393,25 @@ class WorkerPool:
         return False  # pragma: no cover
 
     def _collect_loop(self) -> None:
+        # Deadlines and liveness are checked once per poll interval
+        # whether or not results arrive: a busy sibling streaming
+        # results must not starve a stuck task's deadline.
+        next_check = time.monotonic() + _POLL_INTERVAL
         while True:
             try:
-                if not self._wait_for_result(_POLL_INTERVAL):
-                    if self._closed and not self._pending:
-                        return
-                    self._check_deadlines()
-                    self._check_workers()
-                    continue
-                message = self._result_queue.get()
+                ready = self._wait_for_result(
+                    max(0.0, next_check - time.monotonic())
+                )
+                if ready:
+                    self._handle(self._result_queue.get())
             except (EOFError, OSError):  # pragma: no cover - teardown
                 return
-            self._handle(message)
             if self._closed and not self._pending:
                 return
+            if time.monotonic() >= next_check:
+                self._check_deadlines()
+                self._check_workers()
+                next_check = time.monotonic() + _POLL_INTERVAL
 
     def _handle(self, message) -> None:
         kind = message[0]
@@ -468,10 +475,10 @@ class WorkerPool:
     def _check_deadlines(self) -> None:
         """Kill + recycle workers whose current task blew its deadline.
 
-        This is the portable enforcement path for budgets SIGALRM
-        cannot reach (the in-worker :class:`_TimeBudget` handles the
-        common case on the worker's main thread; this backstop catches
-        code stuck in C or a wedged worker).
+        The only enforcement of per-task budgets, the experiment
+        runner's per-loop ``timeout_seconds`` included: killing the
+        process stops any task, even one stuck in C, and never leaves
+        half-mutated state behind in a worker that keeps serving.
         """
         now = time.time()
         with self._lock:
@@ -535,6 +542,11 @@ def shared_pool(workers: int = 1) -> WorkerPool:
     with _shared_lock:
         if _shared is None or _shared.closed:
             _shared = WorkerPool(workers=max(1, workers))
+            # (Re-)registered once the pool exists, so that it runs
+            # before multiprocessing's own exit hook (atexit is LIFO),
+            # which would kill the workers under a live collector.
+            atexit.unregister(shutdown_shared_pool)
+            atexit.register(shutdown_shared_pool)
         else:
             _shared.ensure_workers(workers)
         return _shared
@@ -547,6 +559,3 @@ def shutdown_shared_pool() -> None:
         pool, _shared = _shared, None
     if pool is not None and not pool.closed:
         pool.close(drain=True, timeout=5.0)
-
-
-atexit.register(shutdown_shared_pool)

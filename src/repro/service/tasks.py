@@ -17,7 +17,10 @@ Registered tasks:
 ``sleep``
     Block the worker for N seconds — the deadline/drain test probe.
 ``engine_chunk``
-    One experiment-engine chunk (:func:`repro.analysis.engine._run_chunk`).
+    Measure a chunk of loops for the experiment runner, each through
+    :func:`repro.analysis.experiment.measure_loop`
+    (:func:`repro.analysis.engine._run_chunk`); a budgeted run sends
+    one loop per task, under the pool's deadline.
 ``lint_loop``
     Deep-lint one loop (the ``repro lint --workers`` unit).
 ``lint_source``
@@ -37,7 +40,7 @@ from typing import Callable, Dict, List, Tuple
 
 # Imported eagerly so fork-server children inherit a warm interpreter
 # image and spawned workers front-load the cost before their first task.
-from ..core.driver import CompilationError, compile_loop
+from ..core.driver import LOOP_FAILURES, compile_loop, failure_message
 from ..core.variants import ALL_VARIANTS, AssignmentConfig
 from ..machine.machine import Machine
 from ..machine.presets import STANDARD_PRESETS
@@ -160,9 +163,11 @@ def compile_batch(
 
     Each item is ``(ddg, machine_ref, variant_ref, verify)``; machine /
     variant refs may be preset/slug names (resolved against the warm
-    tables) or pickled objects.  Replies mirror the serial reference's
-    exception taxonomy so service outcomes stay bit-identical to a
-    direct :func:`repro.core.driver.compile_loop` call.
+    tables) or pickled objects.  A failing loop becomes a ``failed``
+    reply through the same exception mapping as the experiment runner
+    (:func:`repro.core.driver.failure_message`), so service outcomes
+    stay bit-identical to a direct
+    :func:`repro.core.driver.compile_loop` call.
     """
     replies: List[Dict[str, object]] = []
     for ddg, machine_ref, variant_ref, verify in payload:
@@ -172,16 +177,11 @@ def compile_batch(
             compiled = compile_loop(
                 ddg, machine, config=config, verify=verify
             )
-        except CompilationError as exc:
-            replies.append({
-                "loop": ddg.name, "status": "failed",
-                "ii": 0, "mii": 0, "copies": 0, "error": str(exc),
-            })
-        except ValueError as exc:
+        except LOOP_FAILURES as exc:
             replies.append({
                 "loop": ddg.name, "status": "failed",
                 "ii": 0, "mii": 0, "copies": 0,
-                "error": f"invalid loop: {exc}",
+                "error": failure_message(exc),
             })
         else:
             replies.append({

@@ -1,14 +1,11 @@
 """The parallel fault-tolerant experiment engine."""
 
-import os
-
 import pytest
 
 from repro import obs
 from repro.analysis import (
     EngineOptions,
     ExperimentError,
-    ResultCache,
     STATUS_FAILED,
     STATUS_TIMEOUT,
     UnifiedBaseline,
@@ -17,13 +14,16 @@ from repro.analysis import (
     run_experiment,
 )
 from repro.analysis.engine import (
+    CACHE_VERSION,
     config_fingerprint,
     machine_fingerprint,
 )
-from repro.core import HEURISTIC_ITERATIVE, SIMPLE
+from repro.core import HEURISTIC_ITERATIVE, SIMPLE, compile_loop
 from repro.ddg import Opcode, build_ddg
 from repro.machine import two_cluster_gp, four_cluster_gp
-from repro.workloads import paper_suite
+from repro.service import ShardedResultCache
+from repro.workloads import build_kernel, paper_suite
+from repro.workloads.unroll import unroll_ddg
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +43,13 @@ def _bad_loop(name="bad_loop"):
         deps=[("a", "b", 0), ("b", "a", 0)],
         name=name,
     )
+
+
+def _slow_loop():
+    """A loop far too big to compile within a fraction of a second
+    (lk7 unrolled 256 times: ~3.6k nodes, tens of seconds)."""
+    return unroll_ddg(build_kernel("lk7_equation_of_state"), 256,
+                      name="slow_loop")
 
 
 class TestSerialParallelEquality:
@@ -70,6 +77,48 @@ class TestSerialParallelEquality:
         )
         assert parallel.outcomes == serial.outcomes
         assert parallel.n_failed == 1
+
+    @pytest.mark.parametrize("workers", [0, 2])
+    def test_duplicate_name_same_answer_at_any_worker_count(
+        self, small_suite, workers,
+    ):
+        # Two different loops share a name: the first is measured, the
+        # later one fails, and the baseline keeps the first one's II.
+        first = small_suite[1]
+        impostor = small_suite[3].copy(name=first.name)
+        suite = list(small_suite[:3]) + [impostor]
+        machine = two_cluster_gp()
+        unified = machine.unified_equivalent()
+        serial = run_experiment(suite, machine)
+        baseline = UnifiedBaseline()
+        result = run_engine_experiment(
+            suite, machine, baseline=baseline,
+            options=EngineOptions(workers=workers),
+        )
+        assert result.outcomes == serial.outcomes
+        assert [o.ok for o in result.outcomes] == [True, True, True, False]
+        assert result.outcomes[3].status == STATUS_FAILED
+        assert result.outcomes[3].error.startswith(
+            "invalid loop: duplicate loop name"
+        )
+        assert (baseline.ii_for(first, unified)
+                == compile_loop(first, unified).ii)
+        with pytest.raises(ValueError, match="duplicate loop name"):
+            baseline.ii_for(impostor, unified)
+
+    @pytest.mark.parametrize("workers", [0, 1, 2, 4])
+    def test_mixed_corpus_identical_at_every_worker_count(
+        self, slice50, workers,
+    ):
+        suite = (list(slice50[:20]) + [_bad_loop()] + list(slice50[20:])
+                 + [slice50[7].copy(name=slice50[30].name)])
+        machine = two_cluster_gp()
+        serial = run_experiment(suite, machine)
+        result = run_engine_experiment(
+            suite, machine, options=EngineOptions(workers=workers),
+        )
+        assert result.outcomes == serial.outcomes
+        assert result.n_failed == 2
 
     def test_merge_preserves_suite_order(self, small_suite):
         machine = two_cluster_gp()
@@ -106,11 +155,24 @@ class TestWorkerFailurePaths:
         assert partial.n_loops == 4
         assert all(outcome.ok for outcome in partial.outcomes)
 
+    def test_serial_strict_wraps_malformed_loop(self, small_suite):
+        # Strict means ExperimentError at any worker count, malformed
+        # loops included (not the graph's raw ValueError).
+        suite = list(small_suite[:3]) + [_bad_loop()] + \
+            list(small_suite[3:5])
+        with pytest.raises(ExperimentError) as exc_info:
+            run_experiment(suite, two_cluster_gp(), strict=True)
+        assert exc_info.value.loop_name == "bad_loop"
+        assert "invalid loop" in str(exc_info.value)
+        partial = exc_info.value.partial_result
+        assert partial.n_loops == 3
+        assert all(outcome.ok for outcome in partial.outcomes)
+
     def test_compilation_error_recorded(self, small_suite, monkeypatch):
-        import repro.analysis.engine as engine_module
+        import repro.analysis.experiment as experiment_module
         from repro.core import CompilationError
 
-        real = engine_module.compile_loop
+        real = experiment_module.compile_loop
         doomed = small_suite[3].name
 
         def flaky(ddg, machine, *args, **kwargs):
@@ -118,7 +180,7 @@ class TestWorkerFailurePaths:
                 raise CompilationError("injected")
             return real(ddg, machine, *args, **kwargs)
 
-        monkeypatch.setattr(engine_module, "compile_loop", flaky)
+        monkeypatch.setattr(experiment_module, "compile_loop", flaky)
         result = run_engine_experiment(
             small_suite[:6], two_cluster_gp()
         )
@@ -129,30 +191,29 @@ class TestWorkerFailurePaths:
         assert failed[0].unified_ii > 0
 
 
+def _assert_slow_loop_timed_out(loops, workers):
+    # The budget is a pool deadline, so the loop has to be slow in the
+    # worker itself: a genuinely huge loop, not a patched compile_loop
+    # in this process.
+    suite = list(loops[:2]) + [_slow_loop()] + list(loops[2:4])
+    result = run_engine_experiment(
+        suite, two_cluster_gp(),
+        options=EngineOptions(workers=workers, timeout_seconds=0.5),
+    )
+    assert result.n_loops == 5
+    assert [o.loop_name for o in result.failures] == ["slow_loop"]
+    assert result.failures[0].status == STATUS_TIMEOUT
+    assert "per-loop budget" in result.failures[0].error
+    # The loops after it compiled on the recycled worker.
+    assert all(o.ok for o in result.outcomes[3:])
+
+
 class TestTimeout:
-    def test_slow_loop_skipped_as_timeout(self, small_suite,
-                                          monkeypatch):
-        import time
+    def test_slow_loop_skipped_as_timeout(self, small_suite):
+        _assert_slow_loop_timed_out(small_suite, workers=0)
 
-        import repro.analysis.engine as engine_module
-
-        real = engine_module.compile_loop
-        slow = small_suite[2].name
-
-        def sluggish(ddg, machine, *args, **kwargs):
-            if ddg.name == slow and not machine.is_unified:
-                time.sleep(0.5)
-            return real(ddg, machine, *args, **kwargs)
-
-        monkeypatch.setattr(engine_module, "compile_loop", sluggish)
-        result = run_engine_experiment(
-            small_suite[:5], two_cluster_gp(),
-            options=EngineOptions(timeout_seconds=0.2),
-        )
-        assert result.n_loops == 5
-        assert [o.loop_name for o in result.failures] == [slow]
-        assert result.failures[0].status == STATUS_TIMEOUT
-        assert "budget" in result.failures[0].error
+    def test_slow_loop_skipped_as_timeout_with_workers(self, small_suite):
+        _assert_slow_loop_timed_out(small_suite, workers=2)
 
     def test_no_budget_means_no_timeouts(self, small_suite):
         result = run_engine_experiment(
@@ -169,7 +230,7 @@ class TestResultCache:
         first = run_engine_experiment(small_suite[:8], machine,
                                       options=options)
         assert first.cache_hits == 0
-        assert len(os.listdir(tmp_path)) == 8
+        assert len(ShardedResultCache(str(tmp_path), CACHE_VERSION)) == 8
         second = run_engine_experiment(small_suite[:8], machine,
                                        options=options)
         assert second.cache_hits == 8
@@ -197,7 +258,7 @@ class TestResultCache:
         again = run_engine_experiment(small_suite[:4], machine,
                                       options=write_only)
         assert again.cache_hits == 0
-        assert len(os.listdir(tmp_path)) == 4
+        assert len(ShardedResultCache(str(tmp_path), CACHE_VERSION)) == 4
 
     def test_key_depends_on_machine_and_config(self, small_suite):
         loop = small_suite[0]
@@ -233,16 +294,27 @@ class TestResultCache:
         machine = two_cluster_gp()
         options = EngineOptions(cache_dir=str(tmp_path), resume=True)
         run_engine_experiment(small_suite[:3], machine, options=options)
-        for entry in os.listdir(tmp_path):
-            (tmp_path / entry).write_text("{not json")
+        entries = list(tmp_path.glob("*/*.json"))
+        assert len(entries) == 3
+        for entry in entries:
+            entry.write_text("{not json")
         result = run_engine_experiment(small_suite[:3], machine,
                                        options=options)
         assert result.cache_hits == 0
         assert result.n_failed == 0
 
     def test_cache_object_len(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+        cache = ShardedResultCache(str(tmp_path), CACHE_VERSION)
         assert len(cache) == 0
+
+    def test_timeouts_are_not_cached(self, tmp_path, small_suite):
+        suite = list(small_suite[:2]) + [_slow_loop()]
+        options = EngineOptions(cache_dir=str(tmp_path), resume=True,
+                                timeout_seconds=0.5)
+        result = run_engine_experiment(suite, two_cluster_gp(),
+                                       options=options)
+        assert result.failures[0].status == STATUS_TIMEOUT
+        assert len(ShardedResultCache(str(tmp_path), CACHE_VERSION)) == 2
 
 
 class TestBaselineSharing:

@@ -7,8 +7,8 @@ import pytest
 
 from repro.analysis import run_experiment
 from repro.analysis.engine import (
+    CACHE_VERSION,
     EngineOptions,
-    ResultCache,
     certify_fingerprint,
     outcome_cache_key,
     run_engine_experiment,
@@ -21,6 +21,7 @@ from repro.certify import (
 )
 from repro.certify.check import CertIssue
 from repro.core import CompilationError, compile_loop
+from repro.service import ShardedResultCache
 from repro.workloads import bundled_corpus
 
 
@@ -183,14 +184,25 @@ class TestCacheKeys:
             assert a.exact_status == b.exact_status
 
     def test_result_cache_store_load(self, two_gp, tmp_path):
-        cache = ResultCache(str(tmp_path))
-        result = run_experiment(
-            small_corpus(1), two_gp,
-            certify_config=CertifyConfig(exact=True),
-        )
+        from repro.core import HEURISTIC_ITERATIVE
+
+        gate = CertifyConfig(exact=True)
+        (loop,) = small_corpus(1)
+        result = run_experiment([loop], two_gp, certify_config=gate)
         outcome = result.outcomes[0]
-        cache.store("k", outcome)
-        loaded = cache.load("k")
+        ShardedResultCache(str(tmp_path), CACHE_VERSION).put(
+            outcome_cache_key(
+                loop, two_gp, HEURISTIC_ITERATIVE, certify_config=gate,
+            ),
+            dataclasses.asdict(outcome),
+        )
+        replay = run_engine_experiment(
+            [loop], two_gp, options=EngineOptions(
+                cache_dir=str(tmp_path), resume=True, certify_config=gate,
+            ),
+        )
+        assert replay.cache_hits == 1
+        (loaded,) = replay.outcomes
         assert loaded.cert_errors == outcome.cert_errors
         assert loaded.cert_codes == outcome.cert_codes
         assert loaded.exact_status == outcome.exact_status

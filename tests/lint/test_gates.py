@@ -1,19 +1,21 @@
 """The ``--lint`` pipeline gates: driver, experiment, parallel engine."""
 
+import dataclasses
+
 import pytest
 
 from repro.analysis import (
     EngineOptions,
-    ResultCache,
     outcome_cache_key,
     run_engine_experiment,
     run_experiment,
 )
-from repro.analysis.engine import lint_fingerprint
+from repro.analysis.engine import CACHE_VERSION, lint_fingerprint
 from repro.analysis.experiment import LoopOutcome
 from repro.core import CompilationError, compile_loop
 from repro.ddg import Ddg, Opcode
 from repro.lint import DEFAULT_CONFIG, LintConfig
+from repro.service import ShardedResultCache
 from repro.workloads import paper_suite
 
 
@@ -128,16 +130,24 @@ class TestEngineGate:
         )
         assert plain != gated
 
-    def test_cache_roundtrips_lint_fields(self, tmp_path):
-        cache = ResultCache(str(tmp_path))
+    def test_cache_roundtrips_lint_fields(self, chain3, two_gp, tmp_path):
+        from repro.core import HEURISTIC_ITERATIVE
+
         outcome = LoopOutcome(
-            loop_name="x", unified_ii=3, clustered_ii=4, copies=2,
-            lint_errors=1, lint_warnings=2,
+            loop_name=chain3.name, unified_ii=3, clustered_ii=4,
+            copies=2, lint_errors=1, lint_warnings=2,
             lint_codes=("DDG102", "SCHED402"),
         )
-        cache.store("key", outcome)
-        loaded = cache.load("key")
-        assert loaded is not None
+        ShardedResultCache(str(tmp_path), CACHE_VERSION).put(
+            outcome_cache_key(chain3, two_gp, HEURISTIC_ITERATIVE),
+            dataclasses.asdict(outcome),
+        )
+        replay = run_engine_experiment(
+            [chain3], two_gp,
+            options=EngineOptions(cache_dir=str(tmp_path), resume=True),
+        )
+        assert replay.cache_hits == 1
+        (loaded,) = replay.outcomes
         assert loaded.lint_errors == 1
         assert loaded.lint_warnings == 2
         assert loaded.lint_codes == ("DDG102", "SCHED402")

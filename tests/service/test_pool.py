@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import time
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.service import (
     shared_pool,
     shutdown_shared_pool,
 )
+from repro.service.pool import _POLL_INTERVAL
 
 
 class TestDispatch:
@@ -78,6 +80,26 @@ class TestFaults:
             # The replacement worker comes up and serves new tasks.
             assert list(pool.map("ping", [9]))[0]["echo"] == 9
             assert pool.stats.workers_recycled >= 1
+        finally:
+            pool.close()
+
+    def test_deadline_fires_while_a_sibling_streams_results(self):
+        # One worker is stuck past its deadline while the other streams
+        # a result every ~10 ms; the collector must still check the
+        # deadline every poll interval, not only when results pause.
+        deadline = 0.3
+        pool = WorkerPool(workers=2)
+        try:
+            pool.warm_up()
+            started = time.monotonic()
+            stuck = pool.submit("sleep", 3.0, deadline=deadline)
+            stream = [pool.submit("sleep", 0.01) for _ in range(200)]
+            with pytest.raises(DeadlineExceeded):
+                stuck.result(timeout=30)
+            elapsed = time.monotonic() - started
+            assert elapsed < deadline + 4 * _POLL_INTERVAL
+            for future in stream:
+                future.result(timeout=30)
         finally:
             pool.close()
 
