@@ -29,8 +29,8 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ddg.graph import Ddg
 from ..ddg.transform import AnnotatedDdg, trivial_annotation
 from ..obs.trace import count as obs_count, span as obs_span
-from ..machine.machine import Machine, ResourceKey
-from ..mrt.pool import PoolOverflowError, ResourcePools
+from ..machine.machine import Machine
+from ..mrt.pool import Demand, PoolOverflowError, ResourcePools
 from .annotate import build_annotated
 from .copies import CopyRoutingError, RoutingState
 from .ordering import AssignmentOrder, build_assignment_order
@@ -80,10 +80,9 @@ class _Assigner:
             share_broadcast=config.share_broadcast,
         )
         self.unassigned: Set[int] = set(ddg.node_ids)
-        self.nodes_on: Dict[int, Set[int]] = {
-            c: set() for c in machine.cluster_indices
-        }
-        self.issue_held: Dict[int, List[ResourceKey]] = {}
+        self.clusters = range(machine.n_clusters)
+        self.nodes_on: Dict[int, Set[int]] = {c: set() for c in self.clusters}
+        self.issue_held: Dict[int, Demand] = {}
         self.previously_on: Dict[int, Set[int]] = {
             n: set() for n in ddg.node_ids
         }
@@ -94,42 +93,31 @@ class _Assigner:
         self._ready: List[Tuple[int, int]] = [
             (self.order.priority_of(n), n) for n in self.order.order
         ]
-        # Opcode resources per (node, cluster) are invariant across the
-        # attempt; cache them (including structural impossibility).
-        self._op_keys_cache: Dict[
-            Tuple[int, int], Optional[List[ResourceKey]]
-        ] = {}
+        # Node -> compiled issue-slot demand per cluster (None where the
+        # cluster structurally cannot execute the opcode), shared from
+        # the machine's per-(opcode, cluster) table.
+        op_demands = self.pools.layout.op_demands
+        self._demand: Dict[int, Tuple[Optional[Demand], ...]] = {
+            node.node_id: op_demands[node.opcode] for node in ddg.nodes
+        }
+        # Node -> the other members of its non-trivial SCC.
+        self._scc_partners: Dict[int, Tuple[int, ...]] = {}
+        for node_id in ddg.node_ids:
+            scc = self.order.scc_of(node_id)
+            self._scc_partners[node_id] = () if scc is None else tuple(
+                other for other in scc.nodes if other != node_id
+            )
 
     # ------------------------------------------------------------------
     # Small helpers
     # ------------------------------------------------------------------
-    def _op_keys(self, node_id: int, cluster: int) -> Optional[List[ResourceKey]]:
-        """Issue-slot keys of a node on a cluster; None when the cluster
-        structurally cannot execute the opcode.  Cached per attempt; the
-        returned list is shared and must not be mutated."""
-        cache_key = (node_id, cluster)
-        try:
-            return self._op_keys_cache[cache_key]
-        except KeyError:
-            pass
-        try:
-            keys = self.machine.op_resources(
-                self.ddg.node(node_id).opcode, cluster
-            )
-        except ValueError:
-            keys = None
-        self._op_keys_cache[cache_key] = keys
-        return keys
-
     def _scc_partner_on(self, node_id: int, cluster: int) -> bool:
         """Is another member of the node's SCC already on ``cluster``?"""
-        scc = self.order.scc_of(node_id)
-        if scc is None:
+        partners = self._scc_partners[node_id]
+        if not partners:
             return False
-        return any(
-            other != node_id and other in self.nodes_on[cluster]
-            for other in scc.nodes
-        )
+        on_cluster = self.nodes_on[cluster]
+        return any(other in on_cluster for other in partners)
 
     def _record_history(self, node_id: int, cluster: int) -> None:
         """Rule (A) bookkeeping, with the clear-when-full rule."""
@@ -145,16 +133,24 @@ class _Assigner:
     def evaluate(self, node_id: int, cluster: int) -> CandidateInfo:
         """Tentatively place ``node_id`` on ``cluster``; roll back after
         measuring the Figure 10 selection inputs."""
-        keys = self._op_keys(node_id, cluster)
+        demand = self._demand[node_id][cluster]
         previously_here = cluster in self.previously_on[node_id]
-        if keys is None:
+        if demand is None:
             return CandidateInfo(
                 cluster=cluster, feasible=False, shares_scc=False,
                 prediction_ok=False, new_copies=0, free_resources=0,
                 previously_here=previously_here, op_fits=False,
             )
-        op_fits = self.pools.can_reserve(keys)
-        pools_snap = self.pools.checkpoint()
+        pools = self.pools
+        if not pools.fits(demand):
+            # The node's own slot overflows before anything is touched.
+            return CandidateInfo(
+                cluster=cluster, feasible=False,
+                shares_scc=self._scc_partner_on(node_id, cluster),
+                prediction_ok=True, new_copies=0, free_resources=0,
+                previously_here=previously_here, op_fits=False,
+            )
+        mark = pools.mark()
         routing_snap = self.routing.snapshot()
         copies_before = self.routing.total_copies()
         feasible = False
@@ -162,7 +158,7 @@ class _Assigner:
         new_copies = 0
         free_resources = 0
         try:
-            self.pools.reserve(keys)
+            pools.take(demand)
             self.routing.set_cluster(node_id, cluster)
             feasible = True
             new_copies = self.routing.total_copies() - copies_before
@@ -170,15 +166,15 @@ class _Assigner:
                 prediction_ok = prediction_satisfied(
                     self.machine,
                     self.routing,
-                    self.pools,
+                    pools,
                     cluster,
                     self.nodes_on[cluster] | {node_id},
                 )
-            free_resources = self.pools.free_cluster_slots(cluster)
+            free_resources = pools.free_cluster_slots(cluster)
         except (PoolOverflowError, CopyRoutingError):
             feasible = False
         finally:
-            self.pools.restore(pools_snap)
+            pools.rollback(mark)
             self.routing.restore(routing_snap)
         return CandidateInfo(
             cluster=cluster,
@@ -188,16 +184,16 @@ class _Assigner:
             new_copies=new_copies,
             free_resources=free_resources,
             previously_here=previously_here,
-            op_fits=op_fits,
+            op_fits=True,
         )
 
     def count_conflicts(self, node_id: int, cluster: int) -> int:
         """Figure 11 line 4: assigned neighbors whose required copies fail
         when ``node_id`` is put on ``cluster`` (resource shortages of the
         node's own slot are handled separately by eviction)."""
-        if self._op_keys(node_id, cluster) is None:
+        if self._demand[node_id][cluster] is None:
             return len(self.ddg.node_ids)  # structurally impossible
-        pools_snap = self.pools.checkpoint()
+        mark = self.pools.mark()
         routing_snap = self.routing.snapshot()
         conflicts = 0
         self.routing.assign_unplanned(node_id, cluster)
@@ -206,7 +202,7 @@ class _Assigner:
                 self.routing.replan(producer)
             except (PoolOverflowError, CopyRoutingError):
                 conflicts += 1
-        self.pools.restore(pools_snap)
+        self.pools.rollback(mark)
         self.routing.restore(routing_snap)
         return conflicts
 
@@ -215,11 +211,11 @@ class _Assigner:
     # ------------------------------------------------------------------
     def commit(self, node_id: int, cluster: int) -> None:
         """Finalize a feasible assignment chosen by Figure 10."""
-        keys = self._op_keys(node_id, cluster)
-        assert keys is not None
-        self.pools.reserve(keys)
+        demand = self._demand[node_id][cluster]
+        assert demand is not None
+        self.pools.take(demand)
         self.routing.set_cluster(node_id, cluster)
-        self.issue_held[node_id] = keys
+        self.issue_held[node_id] = demand
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)
         self._record_history(node_id, cluster)
@@ -234,7 +230,7 @@ class _Assigner:
         Returns False when recovery is impossible at this II.
         """
         cluster = self.routing.cluster_of[node_id]
-        self.pools.release(self.issue_held.pop(node_id))
+        self.pools.give(self.issue_held.pop(node_id))
         self.nodes_on[cluster].discard(node_id)
         self.routing.unassign_unplanned(node_id)
         self.unassigned.add(node_id)
@@ -288,15 +284,16 @@ class _Assigner:
                     return False
 
     def _issue_victim(
-        self, node_id: int, cluster: int, keys: List[ResourceKey]
+        self, node_id: int, cluster: int, demand: Demand
     ) -> Optional[int]:
         """Lowest-priority node on ``cluster`` holding the pool ``node_id``
         needs for its own issue slot."""
-        pool_key = keys[0]
+        pool_index = demand[0][0]
+        issue_held = self.issue_held
         candidates = [
             other
             for other in self.nodes_on[cluster]
-            if other != node_id and self.issue_held[other][0] == pool_key
+            if other != node_id and issue_held[other][0][0] == pool_index
         ]
         if not candidates:
             return None
@@ -308,18 +305,18 @@ class _Assigner:
         Returns False when no sequence of evictions can make the
         assignment fit (the driver then gives up at this II).
         """
-        keys = self._op_keys(node_id, cluster)
-        if keys is None:
+        demand = self._demand[node_id][cluster]
+        if demand is None:
             return False
         protect = {node_id}
-        while not self.pools.can_reserve(keys):
-            victim = self._issue_victim(node_id, cluster, keys)
+        while not self.pools.fits(demand):
+            victim = self._issue_victim(node_id, cluster, demand)
             if victim is None:
                 return False
             if not self.evict(victim, protect):
                 return False
-        self.pools.reserve(keys)
-        self.issue_held[node_id] = keys
+        self.pools.take(demand)
+        self.issue_held[node_id] = demand
         self.routing.assign_unplanned(node_id, cluster)
         self.nodes_on[cluster].add(node_id)
         self.unassigned.discard(node_id)
@@ -350,7 +347,7 @@ class _Assigner:
                     break
             candidates = [
                 self.evaluate(node_id, cluster)
-                for cluster in self.machine.cluster_indices
+                for cluster in self.clusters
             ]
             obs_count("assign.evaluations", len(candidates))
             infeasible = sum(1 for c in candidates if not c.feasible)

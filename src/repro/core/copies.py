@@ -21,11 +21,11 @@ the copies' port/bus/link slots in the shared :class:`ResourcePools`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Any, Dict, List, Set, Tuple
 
 from ..ddg.graph import Ddg
 from ..machine.machine import Machine, ResourceKey
-from ..mrt.pool import PoolOverflowError, ResourcePools
+from ..mrt.pool import Demand, PoolOverflowError, ResourcePools
 from ..obs.trace import count as obs_count
 
 
@@ -85,15 +85,10 @@ def plan_copies(
             CopySpec(src_cluster=producer_cluster, targets=targets)
             for targets in target_groups
         )
-        resources: List[ResourceKey] = []
-        for spec in specs:
-            resources.extend(
-                machine.copy_hop_resources(
-                    spec.src_cluster, list(spec.targets)
-                )
-            )
         return CopyPlan(
-            producer=producer, specs=specs, resources=tuple(resources)
+            producer=producer,
+            specs=specs,
+            resources=_spec_resources(machine, specs),
         )
 
     # Point-to-point: union of shortest routes, hop copies in BFS order.
@@ -121,22 +116,40 @@ def plan_copies(
         if not progressed:  # pragma: no cover - routes start at producer
             raise RuntimeError(f"disconnected copy route {remaining}")
     specs = tuple(CopySpec(src_cluster=a, targets=(b,)) for a, b in ordered)
+    return CopyPlan(
+        producer=producer,
+        specs=specs,
+        resources=_spec_resources(machine, specs),
+    )
+
+
+def _spec_resources(
+    machine: Machine, specs: Tuple[CopySpec, ...]
+) -> Tuple[ResourceKey, ...]:
+    """Pools the copies ``specs`` consume, hop by hop."""
     resources: List[ResourceKey] = []
     for spec in specs:
         resources.extend(
             machine.copy_hop_resources(spec.src_cluster, list(spec.targets))
         )
-    return CopyPlan(
-        producer=producer, specs=specs, resources=tuple(resources)
-    )
+    return tuple(resources)
+
+
+#: One producer's live plan inside :class:`RoutingState`: its copy specs
+#: and their compiled pool demand.
+PlanEntry = Tuple[Tuple[CopySpec, ...], Demand]
 
 
 @dataclass
 class RoutingSnapshot:
-    """Rollback point for :class:`RoutingState` (pools snapshot separate)."""
+    """Rollback point for :class:`RoutingState` (pools snapshot separate).
+
+    ``plans`` maps producer -> the state's plan entry (a
+    :data:`PlanEntry` for :class:`RoutingState`).
+    """
 
     cluster_of: Dict[int, int]
-    plans: Dict[int, CopyPlan]
+    plans: Dict[int, Any]
     total_copies: int = -1  # -1: recompute on restore (legacy snapshots)
 
 
@@ -145,6 +158,14 @@ class RoutingState:
 
     All pool reservations for copies are owned here; the caller owns the
     reservations for the operations' own issue slots.
+
+    Plans are held as :data:`PlanEntry` pairs — specs plus their compiled
+    pool demand — shared through a cache keyed by ``(producer cluster,
+    needed-cluster bitmask)``: a plan's shape is independent of the
+    producer's identity, and the same few cluster patterns recur
+    throughout an assignment run's tentative/evict/replan churn.
+    :meth:`plans` re-expands them into :class:`CopyPlan` objects with
+    resource keys.
     """
 
     def __init__(
@@ -159,7 +180,7 @@ class RoutingState:
         self.pools = pools
         self.share_broadcast = share_broadcast
         self.cluster_of: Dict[int, int] = {}
-        self._plans: Dict[int, CopyPlan] = {}
+        self._plans: Dict[int, PlanEntry] = {}
         self._total_copies = 0
         # Value-edge adjacency — producer -> consumers and consumer ->
         # producers over register (value) edges only, excluding
@@ -171,15 +192,13 @@ class RoutingState:
         self._produces_value = view.produces_value
         self._value_consumers = view.value_consumers
         self._value_producers = view.value_producers
-        # (producer cluster, needed clusters) -> (specs, resources).  A
-        # plan's shape is independent of the producer's identity, and the
-        # same few cluster patterns recur throughout an assignment run's
-        # tentative/evict/replan churn.  Only successful plans are cached
-        # (a CopyRoutingError must re-raise on every attempt).
-        self._plan_cache: Dict[
-            Tuple[int, frozenset],
-            Tuple[Tuple[CopySpec, ...], Tuple[ResourceKey, ...]],
-        ] = {}
+        # (producer cluster, needed-cluster bitmask) -> plan entry,
+        # shared by every attempt on this machine (entries hold compiled
+        # demands, valid for any II).  Only non-empty, successful plans
+        # are cached (a CopyRoutingError must re-raise on every attempt).
+        self._plan_cache: Dict[Tuple[int, int], PlanEntry] = (
+            pools.layout.copy_plans.setdefault(share_broadcast, {})
+        )
 
     # ------------------------------------------------------------------
     # Value-flow queries
@@ -217,8 +236,8 @@ class RoutingState:
 
     def required_copies(self, producer: int) -> int:
         """RC(producer): copies the current assignment forces on it."""
-        plan = self._plans.get(producer)
-        return 0 if plan is None else plan.copy_count
+        entry = self._plans.get(producer)
+        return 0 if entry is None else len(entry[0])
 
     def total_copies(self) -> int:
         """Total copy operations implied by the current assignment."""
@@ -226,7 +245,14 @@ class RoutingState:
 
     def plans(self) -> Dict[int, CopyPlan]:
         """Producer -> current plan (only producers with copies)."""
-        return {p: plan for p, plan in self._plans.items() if plan.specs}
+        return {
+            producer: CopyPlan(
+                producer=producer,
+                specs=specs,
+                resources=_spec_resources(self.machine, specs),
+            )
+            for producer, (specs, _) in self._plans.items()
+        }
 
     # ------------------------------------------------------------------
     # Replanning
@@ -244,41 +270,61 @@ class RoutingState:
     def replan(self, producer: int) -> None:
         """Recompute ``producer``'s plan; raises on resource shortage.
 
+        The needed clusters are gathered into a bitmask with integer ors;
+        together with the producer's cluster it keys the plan cache, and
+        the cached entry's compiled demand is taken from the pools
+        without touching a resource key.  When the cache returns the
+        producer's current entry the plan is unchanged and its slots stay
+        taken (releasing and re-taking them would always succeed).
+
         On :class:`PoolOverflowError` the producer's old reservation has
         already been released and its plan dropped — callers either roll
         back via snapshots or evict nodes and call :meth:`replan` again.
         """
         obs_count("copies.replans")
-        old = self._plans.pop(producer, None)
+        plans = self._plans
+        old = plans.pop(producer, None)
+        cluster_at = self.cluster_of.get
+        home = cluster_at(producer)
+        needed = 0
+        if home is not None:
+            for consumer in self._value_consumers[producer]:
+                cluster = cluster_at(consumer, home)
+                if cluster != home:
+                    needed |= 1 << cluster
+        entry = None
+        if needed:
+            key = (home, needed)
+            entry = self._plan_cache.get(key)
+            if entry is not None and entry is old:
+                # Same plan as before: its slots stay taken.
+                plans[producer] = old
+                return
         if old is not None:
-            self._total_copies -= len(old.specs)
-            self.pools.release(old.resources)
-        if producer not in self.cluster_of:
+            self._total_copies -= len(old[0])
+            self.pools.give(old[1])
+        if not needed:
             return
-        home = self.cluster_of[producer]
-        key = (home, frozenset(self.needed_clusters(producer)))
-        cached = self._plan_cache.get(key)
-        if cached is None:
+        if entry is None:
             template = plan_copies(
                 self.machine,
                 producer,
                 home,
-                set(key[1]),
+                {c for c in range(needed.bit_length()) if needed >> c & 1},
                 share_broadcast=self.share_broadcast,
             )
-            cached = (template.specs, template.resources)
-            self._plan_cache[key] = cached
-        plan = CopyPlan(producer=producer, specs=cached[0],
-                        resources=cached[1])
-        if not plan.specs:
-            return
+            entry = (
+                template.specs,
+                self.pools.compile_demand(template.resources),
+            )
+            self._plan_cache[key] = entry
         try:
-            self.pools.reserve(plan.resources)
+            self.pools.take(entry[1])
         except PoolOverflowError:
             obs_count("copies.replan_failures")
             raise
-        self._plans[producer] = plan
-        self._total_copies += len(plan.specs)
+        plans[producer] = entry
+        self._total_copies += len(entry[0])
 
     def assign_unplanned(self, node_id: int, cluster: int) -> None:
         """Record an assignment *without* replanning any copies.
@@ -318,18 +364,6 @@ class RoutingState:
             raise ValueError(f"node {node_id} is not assigned")
         del self.cluster_of[node_id]
 
-    def clear_cluster(self, node_id: int) -> None:
-        """Remove ``node_id``'s assignment and replan affected copies.
-
-        May raise :class:`PoolOverflowError` on point-to-point fabrics
-        (see :meth:`unassign_unplanned`); callers needing eviction-based
-        recovery should use ``unassign_unplanned`` + per-producer
-        ``replan`` instead.
-        """
-        self.unassign_unplanned(node_id)
-        for producer in self.affected_producers(node_id):
-            self.replan(producer)
-
     # ------------------------------------------------------------------
     # Snapshots (pools are snapshotted separately by the caller)
     # ------------------------------------------------------------------
@@ -342,12 +376,12 @@ class RoutingState:
         )
 
     def restore(self, snap: RoutingSnapshot) -> None:
-        """Roll back to ``snap`` (pair with ``pools.restore``)."""
+        """Roll back to ``snap`` (pair with the pools' rollback)."""
         self.cluster_of = dict(snap.cluster_of)
         self._plans = dict(snap.plans)
         if snap.total_copies >= 0:
             self._total_copies = snap.total_copies
         else:
             self._total_copies = sum(
-                plan.copy_count for plan in self._plans.values()
+                len(specs) for specs, _ in self._plans.values()
             )

@@ -47,9 +47,10 @@ def predicted_copy_requests(
     """PCR of one cluster given the nodes currently assigned to it.
 
     Inlines :func:`upper_bound` and the unassigned-consumer count over
-    the routing state's internals: the selection heuristic evaluates this
-    for every candidate cluster of every node, making it one of the
-    hottest loops of the assignment phase.
+    the routing state's internals (its plan store of ``(specs, demand)``
+    entries): the selection heuristic evaluates this for every candidate
+    cluster of every node, making it one of the hottest loops of the
+    assignment phase.
     """
     base = 1 if machine.interconnect.broadcast else machine.n_clusters - 1
     if base <= 0:
@@ -62,8 +63,8 @@ def predicted_copy_requests(
     for node_id in nodes_on_cluster:
         if not produces[node_id]:
             continue
-        plan = plans.get(node_id)
-        bound = base if plan is None else base - len(plan.specs)
+        entry = plans.get(node_id)
+        bound = base if entry is None else base - len(entry[0])
         if bound <= 0:
             continue
         unassigned = 0

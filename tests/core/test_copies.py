@@ -172,3 +172,34 @@ class TestRoutingState:
         state = RoutingState(accumulator, two_gp, pools)
         state.set_cluster(accumulator.node_ids[1], 0)
         assert state.total_copies() == 0
+
+
+class TestPlanCache:
+    def _fan_out(self):
+        graph = Ddg()
+        producer = graph.add_node(Opcode.ALU)
+        for _ in range(3):
+            graph.add_edge(producer, graph.add_node(Opcode.ALU), distance=0)
+        return graph
+
+    def _place(self, graph, machine, share_broadcast):
+        state = RoutingState(
+            graph, machine, ResourcePools(machine, ii=4),
+            share_broadcast=share_broadcast,
+        )
+        for node_id, cluster in zip(graph.node_ids, (0, 1, 2, 3)):
+            state.set_cluster(node_id, cluster)
+        return state
+
+    def test_broadcast_sharing_kept_apart_on_one_machine(self, four_gp):
+        graph = self._fan_out()
+        shared = self._place(graph, four_gp, share_broadcast=True)
+        split = self._place(graph, four_gp, share_broadcast=False)
+        again = self._place(graph, four_gp, share_broadcast=True)
+        assert shared.total_copies() == again.total_copies() == 1
+        assert split.total_copies() == 3
+
+    def test_plans_expand_to_resource_keys(self, four_gp):
+        state = self._place(self._fan_out(), four_gp, share_broadcast=True)
+        plan = state.plans()[0]
+        assert plan == plan_copies(four_gp, 0, 0, {1, 2, 3})

@@ -26,12 +26,16 @@ from repro.baselines import (
     reference_rec_mii,
 )
 from repro.core.driver import compile_loop
+from repro.core.variants import NO_BROADCAST_SHARING
 from repro.ddg.mii import rec_mii
 from repro.machine.presets import (
+    four_cluster_fs,
+    four_cluster_gp,
     four_cluster_grid,
     two_cluster_fs,
     two_cluster_gp,
 )
+from repro.service.tasks import VARIANTS
 from repro.scheduling.swing import assignment_order
 from repro.scheduling.priority import compute_metrics
 from repro.ddg.scc import find_sccs
@@ -113,6 +117,47 @@ def test_compilation_bit_identical(machine_factory, loops) -> None:
         name = ddg.name or "loop"
         assert opt.ii == ref.ii, name
         assert opt.mii == ref.mii, name
+        assert opt.copy_count == ref.copy_count, name
+        assert dict(opt.schedule.start) == ref.start, name
+        assert dict(opt.annotated.cluster_of) == ref.cluster_of, name
+
+
+#: Every paper machine, for the variant grid below.
+PAPER_MACHINES = {
+    "2gp": two_cluster_gp,
+    "4gp": four_cluster_gp,
+    "2fs": two_cluster_fs,
+    "4fs": four_cluster_fs,
+    "grid": four_cluster_grid,
+}
+
+#: Every Figure 12-13 variant, plus the ablation that emits one copy per
+#: target on bused machines (the only one changing copy-plan shapes).
+GRID_VARIANTS = {**VARIANTS, "no-broadcast-sharing": NO_BROADCAST_SHARING}
+
+
+@pytest.fixture(scope="module")
+def loop_slice(loops):
+    """Every third loop of the corpus: keeps the 25-cell grid to a few
+    seconds."""
+    return loops[::3]
+
+
+@pytest.mark.parametrize("variant", sorted(GRID_VARIANTS))
+@pytest.mark.parametrize("machine_name", sorted(PAPER_MACHINES))
+def test_variant_compilation_bit_identical(
+    machine_name, variant, loop_slice
+) -> None:
+    """Every paper machine under every variant, against the reference:
+    pool and copy-plan caches differ most between 2- and 4-cluster
+    fabrics and under per-target copies."""
+    machine = PAPER_MACHINES[machine_name]()
+    config = GRID_VARIANTS[variant]
+    for ddg in loop_slice:
+        ref = reference_compile_loop(ddg, machine, config=config)
+        opt = compile_loop(ddg, machine, config=config)
+        name = ddg.name or "loop"
+        assert opt.ii == ref.ii, name
         assert opt.copy_count == ref.copy_count, name
         assert dict(opt.schedule.start) == ref.start, name
         assert dict(opt.annotated.cluster_of) == ref.cluster_of, name

@@ -112,3 +112,81 @@ class TestClusterSummaries:
         pools = ResourcePools(four_cluster_grid(), ii=2)
         # rd ports: 2 per cluster x II 2 = 4; links from 0: 4 -> min = 4.
         assert pools.max_reservable_copies(0) == 4
+
+
+class TestOverflowError:
+    def test_message_key_and_capacity(self):
+        err = PoolOverflowError(("issue", 1, "gp"), 8)
+        assert err.key == ("issue", 1, "gp")
+        assert err.capacity == 8
+        assert str(err) == (
+            "resource pool ('issue', 1, 'gp') exhausted (capacity 8)"
+        )
+
+    def test_raised_error_names_the_full_pool(self, pools):
+        pools.reserve([("rd", 0)] * 3)
+        with pytest.raises(PoolOverflowError) as caught:
+            pools.reserve(["bus", ("rd", 0)])
+        assert caught.value.key == ("rd", 0)
+        assert caught.value.capacity == 3
+        assert str(caught.value) == (
+            "resource pool ('rd', 0) exhausted (capacity 3)"
+        )
+
+    def test_full_pool_reported_before_repetition_overflow(self, pools):
+        # rd 0 overflows only through repetition; bus is already full.
+        pools.reserve([("rd", 0)] * 2 + ["bus"] * 6)
+        for request in (
+            [("rd", 0), ("rd", 0), "bus"],
+            pools.compile_demand([("rd", 0), ("rd", 0), "bus"]),
+        ):
+            with pytest.raises(PoolOverflowError) as caught:
+                if isinstance(request, list):
+                    pools.reserve(request)
+                else:
+                    pools.take(request)
+            assert caught.value.key == "bus"
+
+    def test_survives_pickling(self):
+        import pickle
+
+        err = pickle.loads(pickle.dumps(PoolOverflowError("bus", 4)))
+        assert (err.key, err.capacity) == ("bus", 4)
+        assert str(err) == "resource pool 'bus' exhausted (capacity 4)"
+
+
+class TestCompiledDemands:
+    def test_demand_aggregates_in_first_occurrence_order(self, pools):
+        demand = pools.compile_demand(["bus", ("rd", 0), "bus"])
+        assert [(pools.keys()[i], n) for i, n in demand] == [
+            ("bus", 2), (("rd", 0), 1),
+        ]
+
+    def test_take_give_mirror_reserve_release(self, pools):
+        demand = pools.compile_demand([("rd", 0), "bus"])
+        assert pools.fits(demand)
+        pools.take(demand)
+        assert pools.used(("rd", 0)) == 1 and pools.used("bus") == 1
+        pools.give(demand)
+        assert pools.used(("rd", 0)) == 0 and pools.used("bus") == 0
+
+    def test_rejected_take_leaves_state_unchanged(self, pools):
+        pools.reserve(["bus"] * 6)  # bus capacity 2 x II 3
+        before = pools.checkpoint()
+        with pytest.raises(PoolOverflowError):
+            pools.take(pools.compile_demand([("rd", 0), "bus"]))
+        assert pools.checkpoint() == before
+
+    def test_mark_rollback_restores_exactly(self, pools):
+        pools.reserve(["bus"])
+        mark = pools.mark()
+        before = pools.checkpoint()
+        pools.reserve([("rd", 1), ("issue", 0, "gp")])
+        pools.release(["bus"])
+        pools.rollback(mark)
+        assert pools.checkpoint() == before
+
+    def test_layout_shared_across_iis(self, two_gp):
+        assert ResourcePools(two_gp, 2).layout is ResourcePools(
+            two_gp, 5
+        ).layout

@@ -1,10 +1,13 @@
-"""Property-based tests on resource pool invariants."""
+"""Property-based tests on resource pool invariants, and a model-based
+differential of the int-indexed pools against the frozen dict-based
+reference pools."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.machine import two_cluster_gp
+from repro.baselines.reference_assignment import ReferencePools
+from repro.machine import four_cluster_fs, four_cluster_grid, two_cluster_gp
 from repro.mrt import PoolOverflowError, ResourcePools
 
 
@@ -95,3 +98,111 @@ class TestPoolInvariants:
         else:
             with pytest.raises(PoolOverflowError):
                 pools.reserve(request)
+
+
+#: Enum issue keys (4fs), string issue keys and a bus (2gp), link keys
+#: (grid).
+MODEL_MACHINES = {
+    "2gp": two_cluster_gp(),
+    "4fs": four_cluster_fs(),
+    "grid": four_cluster_grid(),
+}
+
+STEP_KINDS = [
+    "reserve", "release", "can_reserve", "take", "fits",
+    "checkpoint", "restore", "mark", "rollback",
+]
+
+
+@st.composite
+def model_runs(draw):
+    """A machine, an II and a sequence of pool steps over random
+    multi-key demands (repeated keys included)."""
+    machine_name = draw(st.sampled_from(sorted(MODEL_MACHINES)))
+    ii = draw(st.integers(min_value=1, max_value=3))
+    n_keys = len(MODEL_MACHINES[machine_name].resource_capacities())
+    # Drawing from a few keys makes repeats and full pools common.
+    span = draw(st.integers(min_value=2, max_value=n_keys))
+    steps = draw(st.lists(
+        st.tuples(
+            st.sampled_from(STEP_KINDS),
+            st.lists(
+                st.integers(min_value=0, max_value=span - 1),
+                min_size=1, max_size=5,
+            ),
+        ),
+        min_size=1, max_size=60,
+    ))
+    return machine_name, ii, steps
+
+
+def _outcome(call):
+    """(result, None) or (None, exception signature)."""
+    try:
+        return call(), None
+    except PoolOverflowError as err:
+        return None, ("overflow", err.key, err.capacity, str(err))
+    except ValueError as err:
+        return None, ("value", str(err))
+
+
+class TestPoolsMatchReferenceModel:
+    @given(model_runs())
+    @settings(max_examples=150, deadline=None)
+    def test_every_step_matches_reference(self, run):
+        machine_name, ii, steps = run
+        machine = MODEL_MACHINES[machine_name]
+        pools = ResourcePools(machine, ii)
+        model = ReferencePools(machine, ii)
+        keys = pools.keys()
+        assert keys == list(model._capacity)
+        snapshots = []
+        marks = []
+        for kind, key_indices in steps:
+            demand_keys = [keys[i] for i in key_indices]
+            before = [pools.used(key) for key in keys]
+            if kind in ("reserve", "take"):
+                if kind == "reserve":
+                    got = _outcome(lambda: pools.reserve(demand_keys))
+                else:
+                    demand = pools.compile_demand(demand_keys)
+                    got = _outcome(lambda: pools.take(demand))
+                want = _outcome(lambda: model.reserve(demand_keys))
+                assert got == want
+                if got[1] is not None:  # a failed reserve changes nothing
+                    assert [pools.used(key) for key in keys] == before
+            elif kind == "release":
+                got = _outcome(lambda: pools.release(demand_keys))
+                want = _outcome(lambda: model.release(demand_keys))
+                assert got == want
+            elif kind in ("can_reserve", "fits"):
+                if kind == "can_reserve":
+                    got = pools.can_reserve(demand_keys)
+                else:
+                    got = pools.fits(pools.compile_demand(demand_keys))
+                assert got == model.can_reserve(demand_keys)
+            elif kind == "checkpoint":
+                snapshot = pools.checkpoint()
+                assert snapshot == model.checkpoint()
+                snapshots.append(snapshot)
+            elif kind == "restore" and snapshots:
+                snapshot = snapshots[-1]
+                pools.restore(snapshot)
+                model.restore(snapshot)
+            elif kind == "mark":
+                marks.append((pools.mark(), model.checkpoint()))
+            elif kind == "rollback" and marks:
+                mark, model_snapshot = marks.pop()
+                pools.rollback(mark)
+                model.restore(model_snapshot)
+                assert pools.checkpoint() == model_snapshot
+            assert {key: pools.used(key) for key in keys} == model._used
+            for key in keys:
+                assert pools.free(key) == model.free(key)
+            for cluster in range(machine.n_clusters):
+                assert pools.free_cluster_slots(cluster) == (
+                    model.free_cluster_slots(cluster)
+                )
+                assert pools.max_reservable_copies(cluster) == (
+                    model.max_reservable_copies(cluster)
+                )
