@@ -15,16 +15,12 @@ production pipeline rather than duplicated.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..core.annotate import build_annotated
 from ..core.assignment import AssignmentStats
-from ..core.copies import (
-    CopyPlan,
-    CopyRoutingError,
-    RoutingSnapshot,
-    plan_copies,
-)
+from ..core.copies import CopyPlan, CopyRoutingError, plan_copies
 from ..core.ordering import AssignmentOrder
 from ..core.selection import (
     CandidateInfo,
@@ -36,6 +32,15 @@ from ..ddg.graph import Ddg
 from ..ddg.transform import AnnotatedDdg, trivial_annotation
 from ..machine.machine import Machine, ResourceKey
 from ..mrt.pool import PoolOverflowError
+
+
+@dataclass
+class ReferenceRoutingSnapshot:
+    """Rollback point for :class:`ReferenceRoutingState` (pools are
+    snapshotted separately)."""
+
+    cluster_of: Dict[int, int]
+    plans: Dict[int, CopyPlan]
 
 
 # ----------------------------------------------------------------------
@@ -241,12 +246,12 @@ class ReferenceRoutingState:
             raise ValueError(f"node {node_id} is not assigned")
         del self.cluster_of[node_id]
 
-    def snapshot(self) -> RoutingSnapshot:
-        return RoutingSnapshot(
+    def snapshot(self) -> ReferenceRoutingSnapshot:
+        return ReferenceRoutingSnapshot(
             cluster_of=dict(self.cluster_of), plans=dict(self._plans)
         )
 
-    def restore(self, snap: RoutingSnapshot) -> None:
+    def restore(self, snap: ReferenceRoutingSnapshot) -> None:
         self.cluster_of = dict(snap.cluster_of)
         self._plans = dict(snap.plans)
 

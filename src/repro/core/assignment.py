@@ -5,8 +5,10 @@
 1. **Order** — nodes of the most constraining SCCs first, SMS order
    within each set (:mod:`repro.core.ordering`).
 2. **Tentative assignment and selection** — the next unassigned node is
-   tentatively placed on every cluster inside a pools/routing transaction;
-   the outcomes feed the Figure 10 selection chain
+   tentatively placed on every cluster: its slot and the affected copy
+   plans are reserved inside a pools transaction while the routing state
+   is only read (:meth:`RoutingState.probe`); the outcomes feed the
+   Figure 10 selection chain
    (:mod:`repro.core.selection`), and the winner is committed.
 3. **Iteration** — when no cluster is feasible, the Figure 11 chain picks
    a cluster to force the node onto; nodes conflicting with the node's
@@ -131,8 +133,9 @@ class _Assigner:
     # Tentative evaluation
     # ------------------------------------------------------------------
     def evaluate(self, node_id: int, cluster: int) -> CandidateInfo:
-        """Tentatively place ``node_id`` on ``cluster``; roll back after
-        measuring the Figure 10 selection inputs."""
+        """Tentatively place ``node_id`` on ``cluster`` and measure the
+        Figure 10 selection inputs; the pools are rolled back and the
+        routing state is never modified."""
         demand = self._demand[node_id][cluster]
         previously_here = cluster in self.previously_on[node_id]
         if demand is None:
@@ -150,32 +153,34 @@ class _Assigner:
                 prediction_ok=True, new_copies=0, free_resources=0,
                 previously_here=previously_here, op_fits=False,
             )
-        mark = pools.mark()
-        routing_snap = self.routing.snapshot()
-        copies_before = self.routing.total_copies()
+        # Read-only probe: the pools carry the tentative reservations
+        # between mark and rollback; the routing state is not touched.
         feasible = False
         prediction_ok = True
         new_copies = 0
         free_resources = 0
+        mark = pools.mark()
         try:
             pools.take(demand)
-            self.routing.set_cluster(node_id, cluster)
-            feasible = True
-            new_copies = self.routing.total_copies() - copies_before
-            if self.config.predict_copies:
-                prediction_ok = prediction_satisfied(
-                    self.machine,
-                    self.routing,
-                    pools,
-                    cluster,
-                    self.nodes_on[cluster] | {node_id},
-                )
-            free_resources = pools.free_cluster_slots(cluster)
-        except (PoolOverflowError, CopyRoutingError):
-            feasible = False
+            failures, copies, tentative = self.routing.probe(
+                node_id, cluster, stop_at_failure=True
+            )
+            if not failures:
+                feasible = True
+                new_copies = copies
+                if self.config.predict_copies:
+                    prediction_ok = prediction_satisfied(
+                        self.machine,
+                        self.routing,
+                        pools,
+                        cluster,
+                        self.nodes_on[cluster],
+                        placed=node_id,
+                        tentative=tentative,
+                    )
+                free_resources = pools.free_cluster_slots(cluster)
         finally:
             pools.rollback(mark)
-            self.routing.restore(routing_snap)
         return CandidateInfo(
             cluster=cluster,
             feasible=feasible,
@@ -194,16 +199,12 @@ class _Assigner:
         if self._demand[node_id][cluster] is None:
             return len(self.ddg.node_ids)  # structurally impossible
         mark = self.pools.mark()
-        routing_snap = self.routing.snapshot()
-        conflicts = 0
-        self.routing.assign_unplanned(node_id, cluster)
-        for producer in self.routing.affected_producers(node_id):
-            try:
-                self.routing.replan(producer)
-            except (PoolOverflowError, CopyRoutingError):
-                conflicts += 1
-        self.pools.rollback(mark)
-        self.routing.restore(routing_snap)
+        try:
+            conflicts, _, _ = self.routing.probe(
+                node_id, cluster, stop_at_failure=False
+            )
+        finally:
+            self.pools.rollback(mark)
         return conflicts
 
     # ------------------------------------------------------------------

@@ -21,7 +21,7 @@ the copies' port/bus/link slots in the shared :class:`ResourcePools`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from ..ddg.graph import Ddg
 from ..machine.machine import Machine, ResourceKey
@@ -140,19 +140,6 @@ def _spec_resources(
 PlanEntry = Tuple[Tuple[CopySpec, ...], Demand]
 
 
-@dataclass
-class RoutingSnapshot:
-    """Rollback point for :class:`RoutingState` (pools snapshot separate).
-
-    ``plans`` maps producer -> the state's plan entry (a
-    :data:`PlanEntry` for :class:`RoutingState`).
-    """
-
-    cluster_of: Dict[int, int]
-    plans: Dict[int, Any]
-    total_copies: int = -1  # -1: recompute on restore (legacy snapshots)
-
-
 class RoutingState:
     """Live copy plans + cluster map during assignment.
 
@@ -192,6 +179,14 @@ class RoutingState:
         self._produces_value = view.produces_value
         self._value_consumers = view.value_consumers
         self._value_producers = view.value_producers
+        # Node -> producers whose plan may change when the node
+        # (re)moves: itself when it writes a value, then its value
+        # producers (which never include the node itself).
+        self._affected: Dict[int, Tuple[int, ...]] = {
+            node_id: ((node_id,) if produces else ())
+            + view.value_producers[node_id]
+            for node_id, produces in view.produces_value.items()
+        }
         # (producer cluster, needed-cluster bitmask) -> plan entry,
         # shared by every attempt on this machine (entries hold compiled
         # demands, valid for any II).  Only non-empty, successful plans
@@ -259,13 +254,29 @@ class RoutingState:
     # ------------------------------------------------------------------
     def affected_producers(self, node_id: int) -> List[int]:
         """Producers whose plan may change when ``node_id`` (re)moves."""
-        affected = []
-        if self._produces_value[node_id]:
-            affected.append(node_id)
-        for producer in self._value_producers[node_id]:
-            if producer not in affected:
-                affected.append(producer)
-        return affected
+        return list(self._affected[node_id])
+
+    def _plan_entry(self, home: int, needed: int) -> PlanEntry:
+        """The cached plan entry for ``(home, needed)``, planned and
+        compiled on a miss (raises :class:`CopyRoutingError`)."""
+        key = (home, needed)
+        entry = self._plan_cache.get(key)
+        if entry is None:
+            # The entry is shared by every producer with this shape, so
+            # the template's producer id is a placeholder.
+            template = plan_copies(
+                self.machine,
+                -1,
+                home,
+                {c for c in range(needed.bit_length()) if needed >> c & 1},
+                share_broadcast=self.share_broadcast,
+            )
+            entry = (
+                template.specs,
+                self.pools.compile_demand(template.resources),
+            )
+            self._plan_cache[key] = entry
+        return entry
 
     def replan(self, producer: int) -> None:
         """Recompute ``producer``'s plan; raises on resource shortage.
@@ -278,8 +289,9 @@ class RoutingState:
         taken (releasing and re-taking them would always succeed).
 
         On :class:`PoolOverflowError` the producer's old reservation has
-        already been released and its plan dropped — callers either roll
-        back via snapshots or evict nodes and call :meth:`replan` again.
+        already been released and its plan dropped — callers evict nodes
+        and call :meth:`replan` again (tentative placements use
+        :meth:`probe` instead).
         """
         obs_count("copies.replans")
         plans = self._plans
@@ -292,32 +304,18 @@ class RoutingState:
                 cluster = cluster_at(consumer, home)
                 if cluster != home:
                     needed |= 1 << cluster
-        entry = None
-        if needed:
-            key = (home, needed)
-            entry = self._plan_cache.get(key)
-            if entry is not None and entry is old:
-                # Same plan as before: its slots stay taken.
-                plans[producer] = old
-                return
+        if needed and old is not None and (
+            self._plan_cache.get((home, needed)) is old
+        ):
+            # Same plan as before: its slots stay taken.
+            plans[producer] = old
+            return
         if old is not None:
             self._total_copies -= len(old[0])
             self.pools.give(old[1])
         if not needed:
             return
-        if entry is None:
-            template = plan_copies(
-                self.machine,
-                producer,
-                home,
-                {c for c in range(needed.bit_length()) if needed >> c & 1},
-                share_broadcast=self.share_broadcast,
-            )
-            entry = (
-                template.specs,
-                self.pools.compile_demand(template.resources),
-            )
-            self._plan_cache[key] = entry
+        entry = self._plan_entry(home, needed)
         try:
             self.pools.take(entry[1])
         except PoolOverflowError:
@@ -325,6 +323,74 @@ class RoutingState:
             raise
         plans[producer] = entry
         self._total_copies += len(entry[0])
+
+    def probe(
+        self, node_id: int, cluster: int, stop_at_failure: bool
+    ) -> Tuple[int, int, Dict[int, Optional[PlanEntry]]]:
+        """Apply to the pools what :meth:`replan` would do to every
+        affected producer if ``node_id`` (unassigned) were on
+        ``cluster``, without touching the cluster map or the plans.
+
+        The caller brackets the call with the pools' ``mark`` /
+        ``rollback``.  Producers are visited in :meth:`replan` order with
+        the same ``give``/``take`` sequence (and the same counters), so
+        feasibility and overflow behaviour match a real
+        assign-and-replan bit for bit; ``stop_at_failure`` ends the walk
+        at the first producer whose plan does not fit or route.
+
+        Returns ``(failures, copy delta, tentative plans)``: the number
+        of producers that failed, the change in total copies (meaningful
+        only without failures), and producer -> tentative entry (None:
+        no plan) for each producer whose plan changed.
+        """
+        plans = self._plans
+        plan_cache = self._plan_cache
+        consumers_of = self._value_consumers
+        cluster_at = self.cluster_of.get
+        pools = self.pools
+        failures = 0
+        delta = 0
+        tentative: Dict[int, Optional[PlanEntry]] = {}
+        probed = 0
+        for producer in self._affected[node_id]:
+            probed += 1
+            old = plans.get(producer)
+            home = cluster if producer == node_id else cluster_at(producer)
+            needed = 0
+            if home is not None:
+                for consumer in consumers_of[producer]:
+                    at = cluster if consumer == node_id else cluster_at(
+                        consumer, home
+                    )
+                    if at != home:
+                        needed |= 1 << at
+            entry = None
+            if needed:
+                entry = plan_cache.get((home, needed))
+                if entry is not None and entry is old:
+                    continue  # unchanged plan, slots stay taken
+            if old is not None:
+                delta -= len(old[0])
+                pools.give(old[1])
+            tentative[producer] = None
+            if not needed:
+                continue
+            if entry is None:
+                try:
+                    entry = self._plan_entry(home, needed)
+                except CopyRoutingError:
+                    entry = None
+            if entry is not None:
+                if pools.try_take(entry[1]):
+                    tentative[producer] = entry
+                    delta += len(entry[0])
+                    continue
+                obs_count("copies.replan_failures")
+            failures += 1
+            if stop_at_failure:
+                break
+        obs_count("copies.replans", probed)
+        return failures, delta, tentative
 
     def assign_unplanned(self, node_id: int, cluster: int) -> None:
         """Record an assignment *without* replanning any copies.
@@ -342,8 +408,7 @@ class RoutingState:
 
         The caller must have reserved the node's own issue slot already.
         Raises :class:`PoolOverflowError` when some required copy does not
-        fit; state is then inconsistent and must be rolled back via
-        snapshot (tentative mode) or repaired by eviction (forced mode).
+        fit; state is then inconsistent and must be repaired by eviction.
         """
         if node_id in self.cluster_of:
             raise ValueError(f"node {node_id} is already assigned")
@@ -363,25 +428,3 @@ class RoutingState:
         if node_id not in self.cluster_of:
             raise ValueError(f"node {node_id} is not assigned")
         del self.cluster_of[node_id]
-
-    # ------------------------------------------------------------------
-    # Snapshots (pools are snapshotted separately by the caller)
-    # ------------------------------------------------------------------
-    def snapshot(self) -> RoutingSnapshot:
-        """Capture cluster map + plans for rollback."""
-        return RoutingSnapshot(
-            cluster_of=dict(self.cluster_of),
-            plans=dict(self._plans),
-            total_copies=self._total_copies,
-        )
-
-    def restore(self, snap: RoutingSnapshot) -> None:
-        """Roll back to ``snap`` (pair with the pools' rollback)."""
-        self.cluster_of = dict(snap.cluster_of)
-        self._plans = dict(snap.plans)
-        if snap.total_copies >= 0:
-            self._total_copies = snap.total_copies
-        else:
-            self._total_copies = sum(
-                len(specs) for specs, _ in self._plans.values()
-            )

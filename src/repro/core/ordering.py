@@ -42,7 +42,23 @@ def build_assignment_order(
     ``scc_first=False`` is an ablation: the SMS sweep still runs but over
     a single all-nodes set, and the partition is reported empty so the
     selection heuristic applies no SCC affinity either.
+
+    The order depends only on the graph, ``ii`` and ``scc_first`` — not
+    on the machine or the variant's other knobs — so it is memoized on
+    the graph's compiled view and shared by every assignment attempt at
+    that II: callers must treat it as read-only.
     """
+    memo = ddg.view().assignment_orders
+    key = (ii, scc_first)
+    order = memo.get(key)
+    if order is None:
+        order = memo[key] = _build_assignment_order(ddg, ii, scc_first)
+    return order
+
+
+def _build_assignment_order(
+    ddg: Ddg, ii: int, scc_first: bool
+) -> AssignmentOrder:
     metrics = compute_metrics(ddg, max(ii, 1))
     if scc_first:
         partition = find_sccs(ddg)

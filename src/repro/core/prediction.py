@@ -22,9 +22,11 @@ the worst-case placement of its still-unassigned consumers:
 
 from __future__ import annotations
 
+from itertools import chain
+from typing import Dict, Iterable, Optional
 
 from ..machine.machine import Machine
-from .copies import RoutingState
+from .copies import PlanEntry, RoutingState
 
 
 def upper_bound(
@@ -43,8 +45,16 @@ def predicted_copy_requests(
     machine: Machine,
     routing: RoutingState,
     nodes_on_cluster: "set[int]",
+    placed: Optional[int] = None,
+    tentative: Optional[Dict[int, Optional[PlanEntry]]] = None,
 ) -> int:
     """PCR of one cluster given the nodes currently assigned to it.
+
+    ``placed`` and ``tentative`` describe a probed placement without
+    applying it (see :meth:`RoutingState.probe`): ``placed`` is an
+    unassigned node counted as assigned to the cluster, and
+    ``tentative`` maps producers to the plan entries (None: no plan)
+    that override the routing state's plan store.
 
     Inlines :func:`upper_bound` and the unassigned-consumer count over
     the routing state's internals (its plan store of ``(specs, demand)``
@@ -59,17 +69,25 @@ def predicted_copy_requests(
     plans = routing._plans
     consumers = routing._value_consumers
     cluster_of = routing.cluster_of
+    if tentative is None:
+        tentative = {}
+    nodes: Iterable[int] = nodes_on_cluster
+    if placed is not None:
+        nodes = chain(nodes_on_cluster, (placed,))
     total = 0
-    for node_id in nodes_on_cluster:
+    for node_id in nodes:
         if not produces[node_id]:
             continue
-        entry = plans.get(node_id)
+        if node_id in tentative:
+            entry = tentative[node_id]
+        else:
+            entry = plans.get(node_id)
         bound = base if entry is None else base - len(entry[0])
         if bound <= 0:
             continue
         unassigned = 0
         for consumer in consumers[node_id]:
-            if consumer not in cluster_of:
+            if consumer not in cluster_of and consumer != placed:
                 unassigned += 1
         total += unassigned if unassigned < bound else bound
     return total
@@ -81,7 +99,11 @@ def prediction_satisfied(
     pools,
     cluster_index: int,
     nodes_on_cluster: "set[int]",
+    placed: Optional[int] = None,
+    tentative: Optional[Dict[int, Optional[PlanEntry]]] = None,
 ) -> bool:
     """The line-6 criterion: ``PCR_C <= MRC_C`` for one cluster."""
-    pcr = predicted_copy_requests(machine, routing, nodes_on_cluster)
+    pcr = predicted_copy_requests(
+        machine, routing, nodes_on_cluster, placed, tentative
+    )
     return pcr <= pools.max_reservable_copies(cluster_index)

@@ -17,11 +17,14 @@ the same consumer both within the iteration and across iterations).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple,
+)
 
 from .opcodes import Opcode, fu_class_of, latency_of, produces_value
+
+if TYPE_CHECKING:  # pragma: no cover - imported on use (slow to import)
+    import networkx as nx
 
 
 @dataclass(frozen=True)
@@ -283,6 +286,8 @@ class Ddg:
         matching the conventional formulation where an edge constrains
         ``start(dst) >= start(src) + latency(src) - II * distance``.
         """
+        import networkx as nx
+
         graph = nx.MultiDiGraph(name=self.name)
         for node in self._nodes.values():
             graph.add_node(node.node_id, opcode=node.opcode, latency=node.latency)

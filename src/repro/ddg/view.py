@@ -16,7 +16,8 @@ never be mutated by consumers — every container is a tuple, a frozenset,
 or a dict that callers treat as read-only.  The only mutable fields are
 the memo dictionaries (``recmii_exact``, ``recmii_bounds``,
 ``recmii_validated``, ``components``, ``partition``) owned by
-:mod:`repro.ddg.mii` and :mod:`repro.ddg.scc`; they die with the view on
+:mod:`repro.ddg.mii` and :mod:`repro.ddg.scc`, and ``assignment_orders``
+owned by :mod:`repro.core.ordering`; they die with the view on
 invalidation, which is exactly the lifetime their keys are valid for.
 """
 
@@ -73,6 +74,8 @@ class DdgView:
         "recmii_exact",
         "recmii_bounds",
         "recmii_validated",
+        # Memo slot owned by repro.core.ordering.
+        "assignment_orders",
     )
 
     def __init__(self, version: int) -> None:
@@ -82,6 +85,7 @@ class DdgView:
         self.recmii_exact: Dict[FrozenSet[int], int] = {}
         self.recmii_bounds: Dict[FrozenSet[int], Tuple[int, int]] = {}
         self.recmii_validated: set = set()
+        self.assignment_orders: Dict[Tuple[int, bool], object] = {}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -2,7 +2,7 @@
 
 The first three rules are the historical independent validator
 (:mod:`repro.scheduling.verify`) re-expressed with stable codes; the
-resource rule now accounts with the *same* compiled demand profiles the
+resource rule now accounts with the *same* compiled demands the
 scheduler's reservation table uses (:meth:`compile_demand`), so the
 validator and the hot path can no longer drift apart silently.  The
 remaining rules check modulo properties (schedule domain, II sanity,
@@ -41,9 +41,10 @@ def _rebuilt_mrt(target):
         cluster_of = annotated.cluster_of
         resources_of = annotated.resources_of
         # A non-copy node's demand — and whether the table can compile
-        # it — depends only on (opcode, cluster): memoize the resolved
-        # keys together with that verdict so the rebuild is O(distinct
-        # demands) derivation work.  Copies route per node.
+        # it — depends only on (opcode, cluster): memoize the compiled
+        # demand together with that verdict so the rebuild is
+        # O(distinct demands) derivation work.  Copies route per node
+        # and memoize on their resource keys.
         resource_memo = {}
         demand_verdict = {}
         for node in ddg.nodes:
@@ -61,17 +62,11 @@ def _rebuilt_mrt(target):
                     )
                     continue
                 key_tuple = tuple(keys)
-                verdict = demand_verdict.get(key_tuple)
-                if verdict is None:
-                    try:
-                        # Same pre-compiled demand profile the
-                        # scheduler probes with; a key unknown to the
-                        # table surfaces here.
-                        table.compile_demand(key_tuple)
-                        verdict = True
-                    except KeyError as exc:
-                        verdict = f"unknown resource key: {exc}"
-                    demand_verdict[key_tuple] = verdict
+                entry = demand_verdict.get(key_tuple)
+                if entry is None:
+                    entry = demand_verdict[key_tuple] = _compiled(
+                        table, key_tuple
+                    )
             else:
                 try:
                     memo_key = (node.opcode, cluster_of[node_id])
@@ -91,23 +86,26 @@ def _rebuilt_mrt(target):
                             f"resource demand underivable: {exc}",
                         )
                     else:
-                        try:
-                            table.compile_demand(keys)
-                            entry = (keys, True)
-                        except KeyError as exc:
-                            entry = (
-                                keys,
-                                f"unknown resource key: {exc}",
-                            )
+                        entry = _compiled(table, keys)
                     resource_memo[memo_key] = entry
-                keys, verdict = entry
+            demand, verdict = entry
             if verdict is not True:
                 problems.append((node_id, verdict))
                 continue
-            table.place(node_id, keys, start, check=False)
+            table.place_demand(node_id, demand, start, check=False)
     target.cache["mrt"] = table
     target.cache["mrt_problems"] = problems
     return table, problems
+
+
+def _compiled(table, keys):
+    """``(compiled demand, True)``, or ``(None, problem)`` when a key is
+    unknown to the table — the same compiled demand the scheduler
+    probes with."""
+    try:
+        return table.compile_demand(keys), True
+    except KeyError as exc:
+        return None, f"unknown resource key: {exc}"
 
 
 @rule(

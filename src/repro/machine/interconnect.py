@@ -26,9 +26,9 @@ and the resource tables:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Hashable, List, Sequence, Tuple
-
-import networkx as nx
+from typing import (
+    Dict, FrozenSet, Hashable, List, Optional, Sequence, Tuple,
+)
 
 
 class Interconnect:
@@ -111,10 +111,12 @@ class PointToPointInterconnect(Interconnect):
             if link not in normalized:
                 normalized.append(link)
         self._links = normalized
-        self._graph = nx.Graph()
+        # Cluster -> neighbours, each in the order of its links.
+        self._adjacency: Dict[int, List[int]] = {}
         for link in normalized:
             a, b = sorted(link)
-            self._graph.add_edge(a, b)
+            self._adjacency.setdefault(a, []).append(b)
+            self._adjacency.setdefault(b, []).append(a)
         self._routes: Dict[Tuple[int, int], List[int]] = {}
 
     @property
@@ -130,13 +132,12 @@ class PointToPointInterconnect(Interconnect):
             return [src]
         key = (src, dst)
         if key not in self._routes:
-            try:
-                path = nx.shortest_path(self._graph, src, dst)
-            except (nx.NetworkXNoPath, nx.NodeNotFound) as exc:
+            path = _bidirectional_path(self._adjacency, src, dst)
+            if path is None:
                 raise ValueError(
                     f"no point-to-point route from cluster {src} to {dst}"
-                ) from exc
-            self._routes[key] = list(path)
+                )
+            self._routes[key] = path
         return list(self._routes[key])
 
     def channel_resources(self) -> Dict[Hashable, int]:
@@ -150,6 +151,65 @@ class PointToPointInterconnect(Interconnect):
 
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         return f"{len(self._links)} point-to-point link(s)"
+
+
+def _bidirectional_path(
+    adjacency: Dict[int, List[int]], source: int, target: int
+) -> Optional[List[int]]:
+    """A shortest ``source``-``target`` path, or None when there is none.
+
+    Breadth-first from both ends, always expanding the smaller fringe
+    (the forward one on ties) and stopping at the first cluster both
+    searches have reached — the search networkx's ``shortest_path``
+    runs on an unweighted graph, so among equally short paths the same
+    one is returned (``adjacency`` must list neighbours in the order a
+    ``networkx.Graph`` built from the same links would).
+    """
+    if source not in adjacency or target not in adjacency:
+        return None
+    pred: Dict[int, Optional[int]] = {source: None}
+    succ: Dict[int, Optional[int]] = {target: None}
+    forward = [source]
+    reverse = [target]
+    meet: Optional[int] = None
+    while meet is None and forward and reverse:
+        if len(forward) <= len(reverse):
+            level, forward = forward, []
+            for v in level:
+                for w in adjacency[v]:
+                    if w not in pred:
+                        forward.append(w)
+                        pred[w] = v
+                    if w in succ:
+                        meet = w
+                        break
+                if meet is not None:
+                    break
+        else:
+            level, reverse = reverse, []
+            for v in level:
+                for w in adjacency[v]:
+                    if w not in succ:
+                        succ[w] = v
+                        reverse.append(w)
+                    if w in pred:
+                        meet = w
+                        break
+                if meet is not None:
+                    break
+    if meet is None:
+        return None
+    path: List[int] = []
+    node: Optional[int] = meet
+    while node is not None:
+        path.append(node)
+        node = pred[node]
+    path.reverse()
+    node = succ[meet]
+    while node is not None:
+        path.append(node)
+        node = succ[node]
+    return path
 
 
 @dataclass(frozen=True)

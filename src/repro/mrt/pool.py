@@ -22,8 +22,11 @@ list depends on II.  The assigner's hot path never touches a key:
   once, and :meth:`~ResourcePools.fits` / :meth:`~ResourcePools.take` /
   :meth:`~ResourcePools.give` work on it with list indexing only.
   ``PoolLayout.op_demands`` pre-compiles every opcode's issue-slot
-  demand per cluster, and ``PoolLayout.copy_plans`` holds the copy-plan
-  shapes :class:`repro.core.copies.RoutingState` compiles.
+  demand per cluster, ``PoolLayout.copy_hops`` every copy hop's demand
+  the scheduler meets, and ``PoolLayout.copy_plans`` holds the copy-plan
+  shapes :class:`repro.core.copies.RoutingState` compiles.  The
+  scheduler's :class:`repro.mrt.table.ModuloReservationTable` indexes
+  its rows with the same layout and demands.
 * :meth:`~ResourcePools.mark` / :meth:`~ResourcePools.rollback` snapshot
   and restore the usage counters as one list slice.
 * The cluster-level summaries of the selection heuristic sum over
@@ -79,11 +82,13 @@ class PoolLayout:
     compiled demands, filled on demand by
     :class:`repro.core.copies.RoutingState`: ``share_broadcast`` ->
     ``(producer cluster, needed-cluster bitmask)`` -> entry.
+    ``copy_hops`` maps ``(source cluster, target clusters)`` to one copy
+    hop's compiled demand, filled on demand by :meth:`copy_hop_demand`.
     """
 
     __slots__ = (
         "keys", "index", "per_cycle", "issue", "local",
-        "channel", "read_port", "op_demands", "copy_plans",
+        "channel", "read_port", "op_demands", "copy_plans", "copy_hops",
     )
 
     def __init__(self, machine: Machine) -> None:
@@ -141,6 +146,7 @@ class PoolLayout:
                     per_cluster.append(self.compile(keys))
             self.op_demands[opcode] = tuple(per_cluster)
         self.copy_plans: Dict[bool, Dict[Tuple[int, int], Any]] = {}
+        self.copy_hops: Dict[Tuple[int, Tuple[int, ...]], Demand] = {}
 
     def compile(self, keys: Iterable[ResourceKey]) -> Demand:
         """The :data:`Demand` of a key multiset (``KeyError`` on an
@@ -148,9 +154,26 @@ class PoolLayout:
         index = self.index
         counts: Dict[int, int] = {}
         for key in keys:
-            i = index[key]
+            i = index.get(key)
+            if i is None:
+                raise KeyError(f"unknown resource key {key!r}")
             counts[i] = counts.get(i, 0) + 1
         return tuple(counts.items())
+
+    def copy_hop_demand(
+        self, machine: Machine, src: int, targets: Tuple[int, ...]
+    ) -> Demand:
+        """Compiled demand of one copy from ``src`` to ``targets`` on
+        ``machine`` (this layout's machine), memoized; raises like
+        :meth:`Machine.copy_hop_resources` for an impossible hop."""
+        key = (src, targets)
+        demand = self.copy_hops.get(key)
+        if demand is None:
+            demand = self.compile(
+                machine.copy_hop_resources(src, list(targets))
+            )
+            self.copy_hops[key] = demand
+        return demand
 
     @classmethod
     def of(cls, machine: Machine) -> "PoolLayout":
@@ -262,20 +285,29 @@ class ResourcePools:
     def take(self, demand: Demand) -> None:
         """Reserve ``demand``; raises :class:`PoolOverflowError` and
         leaves state unchanged when it does not fit."""
+        if self.try_take(demand):
+            return
+        used = self._used
+        capacity = self._capacity
+        i = next(i for i, n in demand if used[i] + n > capacity[i])
+        if used[i] < capacity[i]:
+            # Overflow by repetition only: like reserve, report the
+            # first key that is already full, if any (no earlier key
+            # is: each passed its own check).
+            i = next((j for j, _ in demand if used[j] >= capacity[j]), i)
+        raise PoolOverflowError(self._keys[i], capacity[i])
+
+    def try_take(self, demand: Demand) -> bool:
+        """:meth:`take` without the exception: False (state unchanged)
+        when ``demand`` does not fit."""
         used = self._used
         capacity = self._capacity
         for i, n in demand:
             if used[i] + n > capacity[i]:
-                if used[i] < capacity[i]:
-                    # Overflow by repetition only: like reserve, report
-                    # the first key that is already full, if any (no
-                    # earlier key is: each passed its own check).
-                    i = next(
-                        (j for j, _ in demand if used[j] >= capacity[j]), i
-                    )
-                raise PoolOverflowError(self._keys[i], capacity[i])
+                return False
         for i, n in demand:
             used[i] += n
+        return True
 
     def give(self, demand: Demand) -> None:
         """Release a previously taken ``demand``."""

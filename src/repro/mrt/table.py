@@ -2,24 +2,29 @@
 
 The scheduler places operation ``op`` at absolute cycle ``t``; in the
 software-pipelined kernel it occupies its resources in row ``t mod II``.
-The table tracks, per resource key and row, which operations hold slots,
+The table tracks, per resource and row, which operations hold slots,
 which lets the iterative scheduler both test availability and identify the
 holders it must displace when forcing a placement (Rau's iterative modulo
 scheduling).
 
-Occupancy is maintained twice, on purpose:
+Storage is int-indexed on the machine's :class:`~repro.mrt.pool.PoolLayout`
+(the dense key indices the assignment phase's pools use): every
+(resource index, row) pair is one flat slot ``index * II + row``, and
+occupancy is kept twice over those slots, on purpose:
 
-* per-(key, row) integer counters (``_usage``: one row-indexed array per
-  key), which make availability probes a few integer compares — the
-  scheduler probes up to II cycles per placement, so this is the hottest
-  query in the pipeline;
-* per-(key, row) holder lists (``_slots``), consulted only by
-  :meth:`conflicting_ops` and :meth:`remove` to identify displacement
-  victims.
+* integer counters (``_usage``), which make availability probes a few
+  integer compares — the scheduler probes up to II cycles per placement,
+  so this is the hottest query in the pipeline;
+* holder lists (``_holders``), consulted only by :meth:`conflicting` and
+  :meth:`remove` to identify displacement victims.
 
-Callers on the hot path pre-compile each operation's resource demand once
-per scheduling attempt with :meth:`compile_demand` and probe with
-:meth:`probe`; :meth:`available` keeps the one-shot API.
+The hot path works on compiled :data:`~repro.mrt.pool.Demand` tuples —
+``PoolLayout.op_demands`` and ``PoolLayout.copy_hop_demand`` hand them
+out pre-built — through :meth:`probe`, :meth:`conflicting`,
+:meth:`place_demand` and :meth:`remove`.  The key-based methods
+(:meth:`compile_demand`, :meth:`available`, :meth:`conflicting_ops`,
+:meth:`place`) are a thin face over the same arrays for the lint rebuild,
+the validator and tests.
 """
 
 from __future__ import annotations
@@ -28,15 +33,12 @@ import os
 from typing import Dict, Hashable, Iterable, List, Set, Tuple
 
 from ..machine.machine import Machine, ResourceKey
+from .pool import Demand, PoolLayout
 
 OpId = Hashable
 
-#: One key's pre-resolved probe inputs: (row-usage array, capacity, slots
-#: demanded).  See :meth:`ModuloReservationTable.compile_demand`.
-DemandProfile = List[Tuple[List[int], int, int]]
-
 #: Debug flag: force full availability re-validation inside every
-#: ``place`` call even when the caller opted out (``check=False``).
+#: placement even when the caller opted out (``check=False``).
 _FORCE_VALIDATE = bool(os.environ.get("REPRO_MRT_VALIDATE"))
 
 
@@ -48,86 +50,57 @@ class ModuloReservationTable:
             raise ValueError("II must be >= 1")
         self.machine = machine
         self.ii = ii
-        self._capacity: Dict[ResourceKey, int] = machine.resource_capacities()
-        # (key, row) -> list of op ids holding a slot there.  Entries are
-        # removed as soon as their list empties.
-        self._slots: Dict[Tuple[ResourceKey, int], List[OpId]] = {}
-        # key -> per-row occupancy counters (len == II).
-        self._usage: Dict[ResourceKey, List[int]] = {
-            key: [0] * ii for key in self._capacity
-        }
-        # op id -> list of (key, row) it holds.
-        self._held: Dict[OpId, List[Tuple[ResourceKey, int]]] = {}
+        self.layout = layout = PoolLayout.of(machine)
+        self._keys = layout.keys
+        # Per-row capacity of each resource index.
+        self._capacity = layout.per_cycle
+        slots = len(layout.keys) * ii
+        # Flat slot index * II + row -> occupancy counter / holder list.
+        self._usage: List[int] = [0] * slots
+        self._holders: List[List[OpId]] = [[] for _ in range(slots)]
+        # op id -> (its compiled demand, its row).
+        self._held: Dict[OpId, Tuple[Demand, int]] = {}
 
     def row(self, cycle: int) -> int:
         """Kernel row of an absolute cycle."""
         return cycle % self.ii
 
-    def _occupancy(self, key: ResourceKey, row: int) -> List[OpId]:
-        return self._slots.get((key, row), [])
-
-    def compile_demand(self, keys: Iterable[ResourceKey]) -> DemandProfile:
-        """Pre-resolve a resource demand multiset for repeated probing.
-
-        Aggregates duplicate keys and binds each to its usage array and
-        capacity, so :meth:`probe` touches no dictionaries.  The profile
-        stays valid for this table's lifetime (usage arrays are updated
-        in place by :meth:`place`/:meth:`remove`).
-        """
-        demand: Dict[ResourceKey, int] = {}
-        for key in keys:
-            demand[key] = demand.get(key, 0) + 1
-        profile: DemandProfile = []
-        for key, count in demand.items():
-            capacity = self._capacity.get(key)
-            if capacity is None:
-                raise KeyError(f"unknown resource key {key!r}")
-            profile.append((self._usage[key], capacity, count))
-        return profile
-
-    def probe(self, profile: DemandProfile, cycle: int) -> bool:
-        """True when ``profile``'s demand fits in ``cycle``'s row."""
-        row = cycle % self.ii
-        for usage, capacity, count in profile:
-            if usage[row] + count > capacity:
+    # ------------------------------------------------------------------
+    # Compiled demands (the scheduler's hot path)
+    # ------------------------------------------------------------------
+    def probe(self, demand: Demand, cycle: int) -> bool:
+        """True when ``demand`` fits in ``cycle``'s row."""
+        ii = self.ii
+        row = cycle % ii
+        usage = self._usage
+        capacity = self._capacity
+        for i, n in demand:
+            if usage[i * ii + row] + n > capacity[i]:
                 return False
         return True
 
-    def available(
-        self, keys: Iterable[ResourceKey], cycle: int
-    ) -> bool:
-        """True when one slot of every key is free in ``cycle``'s row."""
-        return self.probe(self.compile_demand(keys), cycle)
-
-    def conflicting_ops(
-        self, keys: Iterable[ResourceKey], cycle: int
-    ) -> Set[OpId]:
-        """Operations currently holding the slots ``keys`` needs at
-        ``cycle``.
+    def conflicting(self, demand: Demand, cycle: int) -> Set[OpId]:
+        """Operations holding the slots ``demand`` needs at ``cycle``.
 
         Used by forced placement: displacing all of them guarantees the
-        reservation will fit (each key's full row occupancy is returned
-        when the row is saturated for that key).
+        reservation will fit (each resource's full row occupancy is
+        returned when the row is saturated for that resource).
         """
-        row = self.row(cycle)
+        ii = self.ii
+        row = cycle % ii
+        holders = self._holders
+        capacity = self._capacity
         conflicting: Set[OpId] = set()
-        demand: Dict[ResourceKey, int] = {}
-        for key in keys:
-            demand[key] = demand.get(key, 0) + 1
-        for key, count in demand.items():
-            holders = self._occupancy(key, row)
-            if len(holders) + count > self._capacity[key]:
-                conflicting.update(holders)
+        for i, n in demand:
+            held = holders[i * ii + row]
+            if len(held) + n > capacity[i]:
+                conflicting.update(held)
         return conflicting
 
-    def place(
-        self,
-        op_id: OpId,
-        keys: Iterable[ResourceKey],
-        cycle: int,
-        check: bool = True,
+    def place_demand(
+        self, op_id: OpId, demand: Demand, cycle: int, check: bool = True
     ) -> None:
-        """Reserve one slot of each key at ``cycle`` for ``op_id``.
+        """Reserve ``demand`` at ``cycle`` for ``op_id``.
 
         ``check=False`` skips the availability re-validation for callers
         that already probed (the scheduler displaces every conflicting op
@@ -138,36 +111,74 @@ class ModuloReservationTable:
         """
         if op_id in self._held:
             raise ValueError(f"operation {op_id!r} is already placed")
-        key_list = keys if type(keys) is list else list(keys)
-        if (check or _FORCE_VALIDATE) and not self.available(
-            key_list, cycle
-        ):
+        if (check or _FORCE_VALIDATE) and not self.probe(demand, cycle):
             raise RuntimeError(
                 f"resources for {op_id!r} unavailable at cycle {cycle}"
             )
-        row = cycle % self.ii
-        held = []
-        slots = self._slots
+        ii = self.ii
+        row = cycle % ii
         usage = self._usage
-        for key in key_list:
-            slot = (key, row)
-            slots.setdefault(slot, []).append(op_id)
-            usage[key][row] += 1
-            held.append(slot)
-        self._held[op_id] = held
+        holders = self._holders
+        for i, n in demand:
+            slot = i * ii + row
+            usage[slot] += n
+            if n == 1:
+                holders[slot].append(op_id)
+            else:
+                holders[slot].extend([op_id] * n)
+        self._held[op_id] = (demand, row)
 
     def remove(self, op_id: OpId) -> None:
         """Release every slot held by ``op_id``."""
-        held = self._held.pop(op_id, None)
-        if held is None:
+        entry = self._held.pop(op_id, None)
+        if entry is None:
             raise ValueError(f"operation {op_id!r} is not placed")
-        for key, row in held:
-            holders = self._slots[(key, row)]
-            holders.remove(op_id)
-            if not holders:
-                del self._slots[(key, row)]
-            self._usage[key][row] -= 1
+        demand, row = entry
+        ii = self.ii
+        usage = self._usage
+        holders = self._holders
+        for i, n in demand:
+            slot = i * ii + row
+            usage[slot] -= n
+            held = holders[slot]
+            for _ in range(n):
+                held.remove(op_id)
 
+    # ------------------------------------------------------------------
+    # Key-based face
+    # ------------------------------------------------------------------
+    def compile_demand(self, keys: Iterable[ResourceKey]) -> Demand:
+        """Pre-resolve a resource key multiset for :meth:`probe`,
+        :meth:`conflicting` and :meth:`place_demand` (``KeyError`` on an
+        unknown key); valid for every table of this machine."""
+        return self.layout.compile(keys)
+
+    def available(self, keys: Iterable[ResourceKey], cycle: int) -> bool:
+        """True when one slot of every key is free in ``cycle``'s row."""
+        return self.probe(self.compile_demand(keys), cycle)
+
+    def conflicting_ops(
+        self, keys: Iterable[ResourceKey], cycle: int
+    ) -> Set[OpId]:
+        """:meth:`conflicting` for a resource key multiset."""
+        return self.conflicting(self.compile_demand(keys), cycle)
+
+    def place(
+        self,
+        op_id: OpId,
+        keys: Iterable[ResourceKey],
+        cycle: int,
+        check: bool = True,
+    ) -> None:
+        """Reserve one slot of each key at ``cycle`` for ``op_id`` (see
+        :meth:`place_demand`)."""
+        if op_id in self._held:
+            raise ValueError(f"operation {op_id!r} is already placed")
+        self.place_demand(op_id, self.compile_demand(keys), cycle, check)
+
+    # ------------------------------------------------------------------
+    # Queries
+    # ------------------------------------------------------------------
     def is_placed(self, op_id: OpId) -> bool:
         """True when ``op_id`` currently holds slots."""
         return op_id in self._held
@@ -176,6 +187,15 @@ class ModuloReservationTable:
         """All operations currently holding slots."""
         return list(self._held)
 
+    def used(self, key: ResourceKey, row: int) -> int:
+        """Slots of ``key`` held in kernel ``row``."""
+        return self._usage[self.layout.index[key] * self.ii + row]
+
+    def holders(self, key: ResourceKey, row: int) -> List[OpId]:
+        """Operations holding ``key`` in kernel ``row``, in placement
+        order (an op appears once per slot it holds)."""
+        return list(self._holders[self.layout.index[key] * self.ii + row])
+
     def oversubscriptions(
         self,
     ) -> List[Tuple[ResourceKey, int, int, int]]:
@@ -183,17 +203,18 @@ class ModuloReservationTable:
 
         Returns ``(key, row, used, capacity)`` tuples sorted by key
         string then row.  Normal scheduling never oversubscribes (every
-        ``place`` probes first); the independent validator rebuilds a
+        placement probes first); the independent validator rebuilds a
         table with ``check=False`` placements and reads this off.
         """
+        ii = self.ii
+        usage = self._usage
         over: List[Tuple[ResourceKey, int, int, int]] = []
-        for key, usage in self._usage.items():
-            capacity = self._capacity[key]
-            if max(usage) <= capacity:
-                continue
-            for row, used in enumerate(usage):
+        for i, capacity in enumerate(self._capacity):
+            base = i * ii
+            for row in range(ii):
+                used = usage[base + row]
                 if used > capacity:
-                    over.append((key, row, used, capacity))
+                    over.append((self._keys[i], row, used, capacity))
         over.sort(key=lambda item: (str(item[0]), item[1]))
         return over
 
@@ -201,55 +222,46 @@ class ModuloReservationTable:
         """Disagreements between the two occupancy books.
 
         Occupancy is tracked twice — integer counters (``_usage``, the
-        probe fast path) and holder lists (``_slots``, the
+        probe fast path) and holder lists (``_holders``, the
         displacement/validation path that ``REPRO_MRT_VALIDATE``
         re-walks).  They must agree at all times; a divergence means a
         placement/removal bug.  Returns human-readable descriptions,
         empty when consistent.
         """
-        # Fast clean path: compare the books without sorting or string
-        # building (the lint gate runs this on every compiled loop, and
-        # consistent tables are the overwhelmingly common case).  Two
-        # checks suffice: (a) every holder list matches its counter —
-        # this catches any divergence located where a holder list
-        # exists; (b) the books' totals agree — a counter inflated
-        # where *no* holder list exists leaves the counter total ahead,
-        # and any cancelling holder-heavy spot is already caught by (a).
-        slots = self._slots
-        usage_map = self._usage
-        clean = all(
-            key in usage_map and usage_map[key][row] == len(holders)
-            for (key, row), holders in slots.items()
-        ) and sum(
-            sum(usage) for usage in usage_map.values()
-        ) == sum(len(holders) for holders in slots.values())
-        if clean:
-            return []
-        problems: List[str] = []
-        for key, usage in sorted(self._usage.items(), key=str):
-            for row, counted in enumerate(usage):
-                holders = len(self._slots.get((key, row), []))
-                if counted != holders:
-                    problems.append(
-                        f"resource {key!r} row {row}: counter says "
-                        f"{counted}, holder list says {holders}"
-                    )
-        for (key, row), holders in sorted(
-            self._slots.items(), key=str
+        usage = self._usage
+        holders = self._holders
+        if all(
+            counted == len(held) for counted, held in zip(usage, holders)
         ):
-            if key not in self._usage:
-                problems.append(
-                    f"holder list for unknown resource {key!r} "
-                    f"row {row} ({len(holders)} holder(s))"
-                )
+            return []
+        ii = self.ii
+        keys = self._keys
+        problems: List[str] = []
+        # Ordered as the former key -> row-counters dict sorted by str.
+        for i in sorted(
+            range(len(keys)),
+            key=lambda i: str((keys[i], usage[i * ii:(i + 1) * ii])),
+        ):
+            for row in range(ii):
+                counted = usage[i * ii + row]
+                held = len(holders[i * ii + row])
+                if counted != held:
+                    problems.append(
+                        f"resource {keys[i]!r} row {row}: counter says "
+                        f"{counted}, holder list says {held}"
+                    )
         return problems
 
     def utilization(self) -> Dict[ResourceKey, float]:
         """Fraction of each resource's kernel slots in use."""
+        ii = self.ii
+        usage = self._usage
         return {
-            key: sum(self._usage[key]) / (self._capacity[key] * self.ii)
-            for key in self._capacity
-            if self._capacity[key] > 0
+            key: sum(usage[i * ii:(i + 1) * ii]) / (capacity * ii)
+            for i, (key, capacity) in enumerate(
+                zip(self._keys, self._capacity)
+            )
+            if capacity > 0
         }
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

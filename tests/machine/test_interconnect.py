@@ -1,6 +1,8 @@
 """Buses, point-to-point links, routing."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.machine import (
     BusInterconnect,
@@ -117,3 +119,85 @@ class TestNoInterconnect:
     def test_hop_channel_raises(self):
         with pytest.raises(ValueError):
             NoInterconnect().channel_for_hop(0, 1)
+
+
+def _networkx_route(links, src, dst):
+    """``nx.shortest_path`` over the fabric's links (None: no route),
+    the routing the point-to-point fabric used to delegate to."""
+    import networkx as nx
+
+    graph = nx.Graph()
+    for a, b in links:
+        graph.add_edge(a, b)
+    if src == dst:
+        return [src]
+    try:
+        return nx.shortest_path(graph, src, dst)
+    except (nx.NetworkXNoPath, nx.NodeNotFound):
+        return None
+
+
+def _route_or_none(fabric, src, dst):
+    try:
+        return fabric.route(src, dst)
+    except ValueError:
+        return None
+
+
+class TestRouteMatchesNetworkx:
+    """``route`` is a port of networkx's bidirectional BFS: among equally
+    short paths it must pick the very one ``nx.shortest_path`` picks
+    (copy plans, and so every compile on a point-to-point machine,
+    depend on it)."""
+
+    def _point_to_point_presets(self):
+        from repro.machine import ring_machine
+        from repro.machine.presets import STANDARD_PRESETS
+        from repro.machine.units import PAPER_GRID_MIX
+
+        machines = [make() for make in STANDARD_PRESETS.values()]
+        machines += [ring_machine(n, PAPER_GRID_MIX) for n in range(3, 9)]
+        return [
+            machine for machine in machines
+            if isinstance(machine.interconnect, PointToPointInterconnect)
+        ]
+
+    def test_every_pair_on_every_preset(self):
+        machines = self._point_to_point_presets()
+        assert any(m.n_clusters == 4 for m in machines)  # the 2x2 grid
+        for machine in machines:
+            fabric = machine.interconnect
+            for src in machine.cluster_indices:
+                for dst in machine.cluster_indices:
+                    assert fabric.route(src, dst) == _networkx_route(
+                        fabric.links, src, dst
+                    ), (machine.name, src, dst)
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.integers(min_value=0, max_value=7),
+                st.integers(min_value=0, max_value=7),
+            ).filter(lambda link: link[0] != link[1]),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_random_link_lists(self, links):
+        fabric = PointToPointInterconnect(links)
+        for src in range(8):
+            for dst in range(8):
+                want = _networkx_route(fabric.links, src, dst)
+                assert _route_or_none(fabric, src, dst) == want
+                if want is None:
+                    with pytest.raises(ValueError, match="no point-to-point"):
+                        fabric.route(src, dst)
+
+    def test_disconnected_pair_raises(self):
+        fabric = PointToPointInterconnect([(0, 1), (2, 3)])
+        assert _networkx_route(fabric.links, 0, 3) is None
+        with pytest.raises(ValueError, match="no point-to-point route"):
+            fabric.route(0, 3)
+        with pytest.raises(ValueError):
+            fabric.route(0, 5)  # a cluster with no link at all

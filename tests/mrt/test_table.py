@@ -99,7 +99,8 @@ class TestDemandProfiles:
     def test_compile_demand_aggregates_duplicates(self, mrt):
         profile = mrt.compile_demand([ISSUE, ISSUE, ISSUE])
         assert len(profile) == 1
-        usage, capacity, count = profile[0]
+        index, count = profile[0]
+        capacity = mrt.layout.per_cycle[index]
         assert capacity == 8 and count == 3
         for i in range(6):
             mrt.place(f"op{i}", [ISSUE], cycle=0)
@@ -143,14 +144,15 @@ class TestSlotHygiene:
     def test_remove_drops_empty_holder_lists(self, mrt):
         mrt.place("op1", [ISSUE], cycle=3)
         mrt.remove("op1")
-        assert (ISSUE, 3) not in mrt._slots
+        assert mrt.holders(ISSUE, 3) == []
+        assert mrt.used(ISSUE, 3) == 0
 
     def test_usage_counters_track_slots(self, mrt):
         mrt.place("a", [ISSUE], cycle=0)
         mrt.place("b", [ISSUE], cycle=0)
         mrt.place("c", [ISSUE], cycle=1)
-        assert mrt._usage[ISSUE][0] == 2
-        assert mrt._usage[ISSUE][1] == 1
+        assert mrt.used(ISSUE, 0) == 2
+        assert mrt.used(ISSUE, 1) == 1
         mrt.remove("a")
-        assert mrt._usage[ISSUE][0] == 1
-        assert len(mrt._slots[(ISSUE, 0)]) == 1
+        assert mrt.used(ISSUE, 0) == 1
+        assert len(mrt.holders(ISSUE, 0)) == 1

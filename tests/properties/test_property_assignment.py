@@ -1,5 +1,6 @@
 """Property-based tests on assignment-state invariants."""
 
+import copy
 import random
 
 from hypothesis import given, settings
@@ -94,8 +95,8 @@ class TestRoutingStateInvariants:
         ddg, machine, ii, actions = scenario
         pools = ResourcePools(machine, ii)
         state = RoutingState(ddg, machine, pools)
-        routing_snap = state.snapshot()
-        pools_snap = pools.checkpoint()
+        # Rollback point: a deep copy of the state and its pools.
+        saved = copy.deepcopy((state, pools))
         cluster_before = dict(state.cluster_of)
         for kind, node_id, cluster in actions:
             try:
@@ -103,8 +104,7 @@ class TestRoutingStateInvariants:
                     state.set_cluster(node_id, cluster)
             except PoolOverflowError:
                 break
-        state.restore(routing_snap)
-        pools.restore(pools_snap)
+        state, pools = saved
         assert state.cluster_of == cluster_before
         assert all(pools.used(key) == 0 for key in pools.keys())
 
